@@ -206,9 +206,6 @@ class GKMGraph:
     def label(self, vertex, edge_id):
         return self._labels_at[vertex][edge_id]
 
-    def edge(self, edge_id):
-        return next(e for e in self.edges if e.id == edge_id)
-
     def is_connected(self):
         if not self.vertices:
             return True

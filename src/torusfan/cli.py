@@ -131,7 +131,12 @@ def _cmd_poset_connectsum(args):
     matching = None
     if args.matching:
         raw = _load_json(args.matching)
-        matching = {int(k): int(v) for k, v in raw.items()}
+        if not isinstance(raw, dict):
+            raise InputError(f"{args.matching}: matching JSON must be an object")
+        try:
+            matching = {int(k): int(v) for k, v in raw.items()}
+        except (ValueError, TypeError) as err:
+            raise InputError(f"{args.matching}: {err}")
     try:
         out = poset_mod.connected_sum(p1, t1, p2, t2, matching)
     except PosetError as err:

@@ -41,36 +41,42 @@ def cell_chain_complex(poset):
     n = poset.rank
     cells = [tuple(poset.by_rank(d + 1)) for d in range(n)]
     boundaries = []
+    columns = []  # columns[d][j] = {row index: sign}, the sparse boundaries[d]
     for d in range(n):
         cols = cells[d]
         if d == 0:
             boundaries.append([[1] * len(cols)])
+            columns.append([{0: 1}] * len(cols))
             continue
         rows = cells[d - 1]
         row_index = {x: i for i, x in enumerate(rows)}
         mat = [[0] * len(cols) for _ in rows]
+        columns.append([])
         for j, x in enumerate(cols):
             verts = sorted(poset.atoms(x))
             position = {v: i for i, v in enumerate(verts)}
+            col = {}
             for y in poset.covers(x):
-                omitted = poset.atoms(x) - poset.atoms(y)
-                (v,) = omitted
-                mat[row_index[y]][j] = (-1) ** position[v]
+                (v,) = poset.atoms(x) - poset.atoms(y)
+                i = row_index[y]
+                mat[i][j] = col[i] = (-1) ** position[v]
+            columns[d].append(col)
         boundaries.append(mat)
-    complex_ = ChainComplex(n, tuple(cells), tuple(boundaries))
-    _check_square_zero(complex_)
-    return complex_
+    _check_square_zero(columns)
+    return ChainComplex(n, tuple(cells), tuple(boundaries))
 
 
-def _check_square_zero(cx):
-    for d in range(1, cx.rank):
-        upper = cx.boundaries[d]
-        lower = cx.boundaries[d - 1]
-        for j in range(len(cx.cells[d])):
-            col = [upper[i][j] for i in range(len(cx.cells[d - 1]))]
-            for i in range(len(lower)):
-                if sum(lower[i][k] * col[k] for k in range(len(col))):
-                    raise HomologyError("boundary of boundary is nonzero")
+def _check_square_zero(columns):
+    """Raise unless the boundary of every boundary column is zero."""
+    for d in range(1, len(columns)):
+        lower = columns[d - 1]
+        for col in columns[d]:
+            image = {}
+            for k, a in col.items():
+                for i, b in lower[k].items():
+                    image[i] = image.get(i, 0) + a * b
+            if any(image.values()):
+                raise HomologyError("boundary of boundary is nonzero")
 
 
 @dataclass

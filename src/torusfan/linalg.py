@@ -1,27 +1,72 @@
 """Exact linear algebra: Smith normal form, ranks over Q and GF(p), GF(2) spans.
 
-All matrices are lists of equal-length lists of Python ints, so there is
-no overflow; pivoting always picks a nonzero entry of minimal absolute
-value to keep intermediate entries small.
+Matrices are lists of equal-length lists of Python ints.  One sparse
+kernel eliminates: rows are {column: value} dicts, and ``_echelon``
+inserts them one at a time into an echelon form keyed by leading column,
+over GF(p) or fraction-free over the integers.  Smith normal form first
+removes +-1 pivots by unimodular row steps and pivots densely only on the
+block left over (Kaczynski-Mischaikow-Mrozek, Computational Homology,
+2004; Dumas-Saunders-Villard, JSC 2001).  GF(2) spans are int bitmasks.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
+from operator import index
 
 
-def smith_normal_form(mat):
-    """Invariant factors (d1 | d2 | ...) and rank of an integer matrix.
+def _sparse(mat, p=0):
+    """The rows of a dense matrix as {column: value} dicts, mod p if p."""
+    if p:
+        mat = [[index(x) % p for x in row] for row in mat]
+    return [{j: index(v) for j, v in enumerate(row) if v} for row in mat]
 
-    >>> smith_normal_form([[2, 0], [0, 3]])
-    ([1, 6], 2)
+
+def _clear(r, q, c, p):
+    """Row r with its column-c entry eliminated by the pivot row q: over
+    GF(p), r - (r[c] / q[c]) q; over the integers (p == 0), s r - f q with
+    s / f = q[c] / r[c] in lowest terms and s > 0.  When s > 1 (the pivot
+    is not +-1 and does not divide r[c]) the row is divided by its content.
     """
-    a = [[int(x) for x in row] for row in mat]
+    a, b = q[c], r[c]
+    if p:
+        s, f = 1, b * pow(a, -1, p)
+    else:
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        s, f = a // g, b // g
+    out = {k: s * v for k, v in r.items()} if s != 1 else dict(r)
+    for k, v in q.items():
+        w = (out.get(k, 0) - f * v) % p if p else out.get(k, 0) - f * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    if s != 1:
+        g = gcd(*out.values())
+        if g > 1:
+            out = {k: v // g for k, v in out.items()}
+    return out
+
+
+def _echelon(rows, p):
+    """Echelon form {leading column: row} of sparse rows over GF(p), or
+    over Q when p == 0; the keys are the row space's pivot columns."""
+    pivots = {}
+    for r in rows:
+        while r:
+            c = min(r)
+            q = pivots.get(c)
+            if q is None:
+                pivots[c] = r
+                break
+            r = _clear(r, q, c, p)
+    return pivots
+
+
+def _dense_snf(a):
+    """Smith normal form of a dense matrix by smallest-entry pivoting, in place."""
     m = len(a)
     n = len(a[0]) if m else 0
-    for row in a:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
     factors = []
     t = 0
     while t < min(m, n):
@@ -83,117 +128,62 @@ def smith_normal_form(mat):
     return factors, len(factors)
 
 
+def smith_normal_form(mat):
+    """Invariant factors (d1 | d2 | ...) and rank of an integer matrix.
+
+    >>> smith_normal_form([[2, 0], [0, 3]])
+    ([1, 6], 2)
+    """
+    if mat and any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("ragged matrix")
+    # A +-1 pivot splits off a factor 1 (row steps clear its column, column
+    # steps its row).  Pivot rows miss earlier pivots' columns, so one sweep
+    # in pivot order clears a row; a new pivot sends leftover rows back.
+    units, left, todo = {}, [], _sparse(mat)
+    while todo:
+        r = todo.pop()
+        for c, q in units.items():
+            if c in r:
+                r = _clear(r, q, c, 0)
+        c = next((c for c, v in r.items() if v == 1 or v == -1), None)
+        if c is not None:
+            units[c] = r
+            todo.extend(left)
+            left.clear()
+        elif r:
+            left.append(r)
+    cols = sorted({c for r in left for c in r})
+    factors, r = _dense_snf([[row.get(c, 0) for c in cols] for row in left])
+    return [1] * len(units) + factors, len(units) + r
+
+
 def rank(mat, char=0):
-    """Matrix rank over Q (char 0) or over GF(char) for a prime char."""
-    if char:
-        return _rank_mod_p(mat, char)
-    return _rank_rational(mat)
-
-
-def _rank_rational(mat):
-    a = [[Fraction(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), -1)
-        if piv < 0:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _rank_mod_p(mat, p):
-    a = [[int(x) % p for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), -1)
-        if piv < 0:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][col], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                c = a[i][col]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over Q (char 0) or GF(char), char prime; entries must be ints."""
+    return len(_echelon(_sparse(mat, char), char))
 
 
 def echelon_pivot_columns(rows, char=0):
-    """Pivot column indices of the row space, over Q or GF(char)."""
-    if not rows:
-        return set()
-    if char:
-        a = [[int(x) % char for x in row] for row in rows]
-    else:
-        a = [[Fraction(x) for x in row] for row in rows]
-    m, n = len(a), len(a[0])
-    pivots = set()
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col]), -1)
-        if piv < 0:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][col], -1, char) if char else 1 / a[r][col]
-        if char:
-            a[r] = [(x * inv) % char for x in a[r]]
-        else:
-            a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col]:
-                c = a[i][col]
-                if char:
-                    a[i] = [(x - c * y) % char for x, y in zip(a[i], a[r])]
-                else:
-                    a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        pivots.add(col)
-        r += 1
-        if r == m:
-            break
-    return pivots
+    """Pivot columns of the row space over Q or GF(char); int entries only."""
+    return set(_echelon(_sparse(rows, char), char))
 
 
 def invert_unimodular(mat):
     """Inverse of a square integer matrix with determinant +-1."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), -1)
-        if piv < 0:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
+    pivots = _echelon([{**r, n + i: 1} for i, r in enumerate(_sparse(mat))], 0)
+    if any(c not in pivots for c in range(n)):
+        raise ValueError("matrix is singular")
+    # clear upward, so that row c keeps column c alone among the first n
+    for c in reversed(range(n)):
+        for i in range(c):
+            if c in pivots[i]:
+                pivots[i] = _clear(pivots[i], pivots[c], c, 0)
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            v = a[i][j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(row)
+    for c in range(n):
+        r = pivots[c]
+        if abs(r[c]) != gcd(*r.values()):
+            raise ValueError("matrix is not unimodular")
+        out.append([r.get(n + j, 0) // r[c] for j in range(n)])
     return out
 
 

@@ -98,6 +98,19 @@ def test_join_and_connectsum(capsys, tmp_path):
     assert code == 0 and report["h"] == [1, 2, 1]
 
 
+@pytest.mark.parametrize("matching", [[[1, 1], [2, 2], [3, 3]],
+                                      {"a": 1, "2": 2, "3": 3},
+                                      {"1": [1], "2": 2, "3": 3}])
+def test_connectsum_malformed_matching_exit_two(capsys, tmp_path, matching):
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps(to_json_dict(simplex_boundary(2))))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matching))
+    code, report = run(capsys, "poset-connectsum", str(tri), str(tri),
+                       "--matching", str(path))
+    assert code == 2 and "m.json" in report["error"]
+
+
 def test_homology_report(capsys, sphere2_file):
     code, report = run(capsys, "homology", sphere2_file)
     assert code == 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from torusfan.homology import (HomologyError, cell_chain_complex,
+from torusfan.homology import (HomologyError, _check_square_zero,
+                               cell_chain_complex,
                                cohen_macaulay, euler_sphere_check,
                                gorenstein_star, gorenstein_star_subdivided,
                                pseudomanifold, reduced_homology,
@@ -89,6 +90,19 @@ def test_snf_divisibility_chain_random():
 def test_boundary_squares_to_zero():
     for name, p in builder_family(4).items():
         cell_chain_complex(p)  # raises on a nonzero square
+
+
+def test_square_zero_check_fires_on_a_flipped_sign():
+    cx = cell_chain_complex(simplex_boundary(3))
+    columns = [[{i: row[j] for i, row in enumerate(mat) if row[j]}
+                for j in range(len(mat[0]))] for mat in cx.boundaries]
+    _check_square_zero(columns)
+    for d in range(len(columns)):
+        i, v = next(iter(columns[d][0].items()))
+        columns[d][0][i] = -v
+        with pytest.raises(HomologyError, match="boundary of boundary"):
+            _check_square_zero(columns)
+        columns[d][0][i] = v
 
 
 def test_circle_homologies(s4_poset):

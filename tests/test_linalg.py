@@ -1,0 +1,169 @@
+"""The sparse elimination kernel of torusfan.linalg, checked against the
+dense oracles in dense_linalg.py and against sympy."""
+
+import doctest
+import random
+from fractions import Fraction
+
+import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
+
+import dense_linalg
+from torusfan import linalg
+from torusfan.homology import cell_chain_complex
+from torusfan.poset import barycentric_subdivision, simplex_boundary
+from conftest import builder_family
+
+PRIMES = (2, 3, 5, 7)
+EMPTY = ([], [[]], [[], []])
+
+
+def _random_matrix(rng, m, n, spread=3, density=0.5):
+    return [[rng.randint(-spread, spread) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _unimodular(rng, n, steps=12):
+    """A random matrix of determinant +-1: row steps applied to a signed
+    identity."""
+    a = [[(rng.choice((1, -1)) if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        f = rng.randint(-2, 2)
+        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def random_matrices(seed, count=150):
+    """Seeded matrices of every shape up to 7x7: sparse and dense, zero,
+    rank-deficient (a product through a thin middle), and with all entries
+    even so that no unit pivot exists."""
+    rng = random.Random(seed)
+    out = list(EMPTY)
+    for _ in range(count):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append([[0] * n for _ in range(m)])
+        elif kind == 1:
+            k = rng.randint(1, min(m, n))
+            out.append(_product(_random_matrix(rng, m, k, 2, 0.7),
+                                _random_matrix(rng, k, n, 2, 0.7)))
+        elif kind == 2:
+            out.append([[2 * x for x in row]
+                        for row in _random_matrix(rng, m, n, 3, 0.6)])
+        else:
+            out.append(_random_matrix(rng, m, n, 4, rng.choice((0.3, 0.6, 1.0))))
+    return out
+
+
+def boundary_matrices():
+    posets = dict(builder_family(4))
+    posets["sd(simplex_boundary(3))"] = barycentric_subdivision(simplex_boundary(3))
+    return [(f"{name}: d{d}", mat) for name, p in posets.items()
+            for d, mat in enumerate(cell_chain_complex(p).boundaries)]
+
+
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_snf_matches_dense_oracle(seed):
+    for mat in random_matrices(seed):
+        assert linalg.smith_normal_form(mat) == dense_linalg.smith_normal_form(mat), mat
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rank_matches_dense_oracle(seed):
+    for mat in random_matrices(seed):
+        assert linalg.rank(mat) == dense_linalg._rank_rational(mat), mat
+        for p in PRIMES:
+            assert linalg.rank(mat, p) == dense_linalg._rank_mod_p(mat, p), (p, mat)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pivot_columns_match_dense_oracle(seed):
+    for mat in random_matrices(seed):
+        for p in (0,) + PRIMES:
+            assert (linalg.echelon_pivot_columns(mat, p)
+                    == dense_linalg.echelon_pivot_columns(mat, p)), (p, mat)
+
+
+def test_boundary_matrices_match_dense_oracle():
+    for name, mat in boundary_matrices():
+        assert linalg.smith_normal_form(mat) == dense_linalg.smith_normal_form(mat), name
+        assert linalg.rank(mat) == dense_linalg._rank_rational(mat), name
+        for p in PRIMES:
+            assert linalg.rank(mat, p) == dense_linalg._rank_mod_p(mat, p), (name, p)
+        for p in (0, 2, 3):
+            assert (linalg.echelon_pivot_columns(mat, p)
+                    == dense_linalg.echelon_pivot_columns(mat, p)), (name, p)
+        assert linalg.smith_normal_form(_transpose(mat)) == linalg.smith_normal_form(mat), name
+
+
+def test_snf_matches_sympy():
+    for mat in random_matrices(4, count=60)[len(EMPTY):]:
+        expected = sorted(abs(int(f)) for f in invariant_factors(Matrix(mat), domain=ZZ) if f)
+        factors, r = linalg.smith_normal_form(mat)
+        assert (factors, r) == (expected, len(expected)), mat
+
+
+def test_snf_rejects_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged"):
+        linalg.smith_normal_form([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_invert_unimodular_matches_dense_oracle(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        a = _unimodular(rng, n)
+        inverse = linalg.invert_unimodular(a)
+        assert inverse == dense_linalg.invert_unimodular(a)
+        assert _product(a, inverse) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_invert_unimodular_errors_match_dense_oracle():
+    rng = random.Random(5)
+    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    not_unimodular = _product([[2, 0, 0], [0, 1, 0], [0, 0, 1]], _unimodular(rng, 3))
+    for mat, message in ((singular, "singular"), ([[0, 0], [0, 0]], "singular"),
+                         (not_unimodular, "not unimodular"),
+                         ([[3, 1], [1, 1]], "not unimodular")):
+        for impl in (linalg.invert_unimodular, dense_linalg.invert_unimodular):
+            with pytest.raises(ValueError, match=message):
+                impl(mat)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 2.0])
+def test_non_integer_entries_raise(entry):
+    mat = [[1, 0], [entry, 3]]
+    calls = (linalg.smith_normal_form, linalg.rank, linalg.echelon_pivot_columns,
+             lambda m: linalg.rank(m, 3), lambda m: linalg.echelon_pivot_columns(m, 3),
+             linalg.invert_unimodular)
+    for call in calls:
+        with pytest.raises(TypeError):
+            call(mat)
+
+
+def test_inputs_are_not_modified():
+    mat = [[2, 4, 1], [1, 3, 5], [0, 6, 2]]
+    copy = [row[:] for row in mat]
+    linalg.smith_normal_form(mat)
+    linalg.rank(mat)
+    linalg.rank(mat, 3)
+    linalg.echelon_pivot_columns(mat)
+    assert mat == copy
+
+
+def test_doctests():
+    result = doctest.testmod(linalg)
+    assert result.attempted >= 1 and result.failed == 0
