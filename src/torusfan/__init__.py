@@ -10,7 +10,7 @@ from .poset import (Cell, PosetError, RankBoundError, SimplicialPoset,
                     connected_sum, from_json_dict, join, point_poset,
                     poset_violations, simplex_boundary, simplex_poset,
                     sphere_poset, sphere_product_poset, stellar_subdivision,
-                    to_json_dict, validate)
+                    to_json_dict)
 from .facering import (Domain, FaceRing, RingElement, RingError,
                        chain_monomial, chain_monomial_basis, format_element,
                        graded_dimension, hilbert_check, lsop_from_lambda,
@@ -25,7 +25,7 @@ from .charfun import (CharacteristicMap, GKMError, GKMGraph, build_gkm_graph,
                       face_ring_to_gkm, find_characteristic_map,
                       gkm_subalgebra_dimension, thom_class_restriction)
 from .cohomology import (RingPresentation, SWParityReport, betti_numbers,
-                         dehn_sommerville_check, equivariant_series_check,
+                         dehn_sommerville_check,
                          graded_quotient_basis, present_cohomology_ring,
                          sw_parity)
 from .realize import (Block, BlockDecomposition, HVectorTarget,

@@ -59,22 +59,14 @@ class CharacteristicMap:
     def to_json_dict(self):
         return {str(x): list(v) for x, v in sorted(self.vectors.items())}
 
-    @classmethod
-    def from_json_dict(cls, data, n=None):
-        vectors = {int(k): tuple(v) for k, v in data.items()}
-        if n is None:
-            if not vectors:
-                raise GKMError("empty characteristic map needs an explicit n")
-            n = len(next(iter(vectors.values())))
-        return cls(n, vectors)
-
 
 def check_unimodular(poset, chi):
     """True iff every element's vertex vectors have all Smith factors 1.
 
     ``chi`` may be a CharacteristicMap or a plain {vertex: vector} dict;
     the dict form lets non-primitive raw data come back as a violation
-    instead of a constructor error.
+    instead of a constructor error.  A vector whose length is not the
+    poset rank is a violation too.
     """
     vectors = chi.vectors if isinstance(chi, CharacteristicMap) else {
         int(x): tuple(int(c) for c in v) for x, v in chi.items()}
@@ -84,7 +76,10 @@ def check_unimodular(poset, chi):
         violations.append(f"missing assignment on vertices {sorted(missing)}")
         return False, violations
     for x, v in sorted(vectors.items()):
-        if not _is_primitive(v):
+        if len(v) != poset.rank:
+            violations.append(
+                f"vector for {x} has length {len(v)}, expected {poset.rank}")
+        elif not _is_primitive(v):
             violations.append(f"vector for {x} is not primitive: {v}")
     if violations:
         return False, violations

@@ -41,14 +41,26 @@ def _load_poset(path):
         raise InputError(f"{path}: {err}")
 
 
-def _load_chi(path, n):
-    data = _load_json(path)
-    if not isinstance(data, dict):
+def _load_vectors(path, n):
+    """{vertex: integer vector} from JSON; each vector must have length n."""
+    raw = _load_json(path)
+    if not isinstance(raw, dict):
         raise InputError(f"{path}: characteristic map JSON must be an object")
     try:
-        return charfun.CharacteristicMap.from_json_dict(data, n)
-    except (ValueError, TypeError) as err:
+        vectors = {int(k): v for k, v in raw.items()}
+    except ValueError as err:
         raise InputError(f"{path}: {err}")
+    for x, v in vectors.items():
+        if not isinstance(v, list) or any(type(c) is not int for c in v):
+            raise InputError(f"{path}: vector for {x} must be a list of integers")
+        if len(v) != n:
+            raise InputError(
+                f"{path}: vector for {x} has length {len(v)}, expected {n}")
+    return vectors
+
+
+def _load_chi(path, n):
+    return charfun.CharacteristicMap(n, _load_vectors(path, n))
 
 
 def _require_char(value):
@@ -84,13 +96,7 @@ def _render(payload, fmt):
 
 
 def _cmd_poset_validate(args):
-    data = _load_json(args.poset)
-    try:
-        p = poset_mod.from_json_dict(data)
-    except ValueError as err:
-        raise InputError(f"{args.poset}: {err}")
-    except PosetError as err:
-        return CHECK_FAILED, {"ok": False, "violations": err.violations}
+    p = _load_poset(args.poset)  # violations reach main as a PosetError
     return OK, {"ok": True, "rank": p.rank, "cells": len(p),
                 "poset": poset_mod.to_json_dict(p)}
 
@@ -137,10 +143,7 @@ def _cmd_poset_connectsum(args):
             matching = {int(k): int(v) for k, v in raw.items()}
         except (ValueError, TypeError) as err:
             raise InputError(f"{args.matching}: {err}")
-    try:
-        out = poset_mod.connected_sum(p1, t1, p2, t2, matching)
-    except PosetError as err:
-        return CHECK_FAILED, {"ok": False, "violations": err.violations}
+    out = poset_mod.connected_sum(p1, t1, p2, t2, matching)
     return OK, {"ok": True, "poset": poset_mod.to_json_dict(out),
                 "h": list(out.h_vector())}
 
@@ -193,13 +196,7 @@ def _cmd_charfun_find(args):
 
 def _cmd_charfun_check(args):
     p = _load_poset(args.poset)
-    raw = _load_json(args.chi)
-    if not isinstance(raw, dict):
-        raise InputError(f"{args.chi}: characteristic map JSON must be an object")
-    try:
-        vectors = {int(k): [int(c) for c in v] for k, v in raw.items()}
-    except (ValueError, TypeError) as err:
-        raise InputError(f"{args.chi}: {err}")
+    vectors = _load_vectors(args.chi, p.rank)
     ok, violations = charfun.check_unimodular(p, vectors)
     return (OK if ok else CHECK_FAILED), {"ok": ok, "violations": violations}
 
@@ -415,6 +412,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        try:
+            poset_mod.max_rank_bound()
+        except ValueError as err:
+            raise InputError(str(err))
         code, payload = args.handler(args)
     except InputError as err:
         code, payload = BAD_INPUT, {"error": str(err)}

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .facering import (Domain, FaceRing, chain_monomial_basis, format_element,
-                       hilbert_check, lsop_from_lambda)
+from .facering import Domain, FaceRing, chain_monomial_basis, lsop_from_lambda
 from .poset import TorusfanError
 
 
@@ -103,15 +102,6 @@ class RingPresentation:
     generators: tuple      # (id, degree, label)
     product_relations: tuple  # (x, y, rhs RingElement): v_x v_y = rhs
     linear_relations: tuple   # RingElements
-
-    def text_lines(self):
-        lines = []
-        for x, y, rhs in self.product_relations:
-            rhs_text = format_element(rhs)
-            lines.append(f"x{x} * x{y} - ({rhs_text})" if rhs_text != "0"
-                         else f"x{x} * x{y}")
-        lines.extend(format_element(t) for t in self.linear_relations)
-        return lines
 
 
 def present_cohomology_ring(poset, chi):
@@ -251,12 +241,3 @@ def sw_parity(poset, chi):
             False, note="degree-2n component escaped the socle line")
     euler = sum(poset.h_vector()) % 2
     return SWParityReport(True, pairing, euler, pairing == euler)
-
-
-def equivariant_series_check(poset, dmax=None):
-    """The chain-monomial count agrees with the h-vector series; this is
-    the combinatorial form of comparing the two equivariant Hilbert
-    series."""
-    if dmax is None:
-        dmax = 2 * poset.rank + 2
-    return hilbert_check(poset, dmax)

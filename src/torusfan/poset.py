@@ -45,7 +45,8 @@ def max_rank_bound():
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_MAX_RANK
+        raise ValueError(
+            f"TORUSFAN_MAX_RANK must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,32 @@ class Cell:
         return self.label if self.label is not None else f"#{self.id}"
 
 
-def poset_violations(rank, cells):
-    """All invariant violations of a raw cell table, as readable strings."""
-    problems = []
+def _rank_violations(rank):
     if rank < 0:
         return [f"negative rank {rank}"]
     if rank > max_rank_bound():
         return [f"rank {rank} exceeds the configured bound {max_rank_bound()}"]
+    return []
+
+
+def _lower_sets(cells):
+    """Downsets and atom sets of a cell table whose covers are rank-strict
+    (so the order is acyclic and the downsets can be built bottom-up)."""
+    downsets = {}
+    for c in sorted(cells, key=lambda c: c.rank):
+        down = {c.id}
+        for d in c.covers:
+            down.update(downsets[d])
+        downsets[c.id] = frozenset(down)
+    atom_ids = {c.id for c in cells if c.rank == 1}
+    return downsets, {c.id: downsets[c.id] & atom_ids for c in cells}
+
+
+def poset_violations(rank, cells):
+    """All invariant violations of a raw cell table, as readable strings."""
+    problems = _rank_violations(rank)
+    if problems:
+        return problems
     table = {}
     for c in cells:
         if c.id in table:
@@ -101,19 +121,7 @@ def poset_violations(rank, cells):
     if problems:
         return problems
 
-    # cover lists are rank-strict, so the order is automatically acyclic;
-    # build lower sets bottom-up
-    downsets = {root.id: frozenset({root.id})}
-    for c in sorted(table.values(), key=lambda c: c.rank):
-        if c.rank == 0:
-            continue
-        down = {c.id}
-        for d in c.covers:
-            down.update(downsets[d])
-        downsets[c.id] = frozenset(down)
-    atom_ids = {c.id for c in table.values() if c.rank == 1}
-    atoms = {i: frozenset(downsets[i] & atom_ids) for i in table}
-
+    downsets, atoms = _lower_sets(table.values())
     for c in table.values():
         k = c.rank
         if len(atoms[c.id]) != k:
@@ -148,7 +156,11 @@ def poset_violations(rank, cells):
 
 
 class SimplicialPoset:
-    """A validated simplicial poset.  Immutable; all surgery returns new values."""
+    """A validated simplicial poset.  Immutable; all surgery returns new values.
+
+    Builders and surgery make simplicial posets by construction (Stanley
+    1991); ``_trusted`` indexes those, checking only the rank bound.
+    """
 
     __slots__ = ("rank", "cells", "root", "_downsets", "_upsets", "_atoms",
                  "_by_rank", "_join_cache", "_meet_cache")
@@ -158,29 +170,31 @@ class SimplicialPoset:
         problems = poset_violations(rank, cells)
         if problems:
             raise PosetError(problems)
+        self._index(rank, cells)
+
+    @classmethod
+    def _trusted(cls, rank, cells):
+        problems = _rank_violations(rank)
+        if problems:
+            raise PosetError(problems)
+        self = cls.__new__(cls)
+        self._index(rank, tuple(cells))
+        return self
+
+    def _index(self, rank, cells):
         self.rank = rank
         self.cells = {c.id: c for c in cells}
-        self.root = next(c.id for c in cells if c.rank == 0)
-        downsets = {self.root: frozenset({self.root})}
-        for c in sorted(cells, key=lambda c: c.rank):
-            if c.rank == 0:
-                continue
-            down = {c.id}
-            for d in c.covers:
-                down.update(downsets[d])
-            downsets[c.id] = frozenset(down)
-        self._downsets = downsets
+        self._downsets, self._atoms = _lower_sets(cells)
         ups = {i: {i} for i in self.cells}
-        for i, down in downsets.items():
+        for i, down in self._downsets.items():
             for j in down:
                 ups[j].add(i)
         self._upsets = {i: frozenset(s) for i, s in ups.items()}
-        atom_ids = {c.id for c in cells if c.rank == 1}
-        self._atoms = {i: frozenset(downsets[i] & atom_ids) for i in self.cells}
         by_rank = [[] for _ in range(rank + 1)]
         for c in cells:
             by_rank[c.rank].append(c.id)
         self._by_rank = tuple(tuple(sorted(ids)) for ids in by_rank)
+        self.root = self._by_rank[0][0]
         self._join_cache = {}
         self._meet_cache = {}
 
@@ -198,9 +212,6 @@ class SimplicialPoset:
 
     def rank_of(self, x):
         return self.cells[x].rank
-
-    def label_of(self, x):
-        return self.cells[x].label
 
     def covers(self, x):
         return self.cells[x].covers
@@ -299,7 +310,8 @@ class SimplicialPoset:
     # ----- links -----------------------------------------------------------
 
     def link(self, x):
-        """The upper set of x, re-ranked so x becomes the least element."""
+        """The upper set of x, re-ranked so x becomes the least element.
+        Its rank is ``rank - rank_of(x)``, so x must lie below a top cell."""
         shift = self.rank_of(x)
         members = sorted(self._upsets[x])
         cells = []
@@ -308,11 +320,11 @@ class SimplicialPoset:
             covers = (c.covers if c.rank - shift > 0 else ())
             covers = tuple(d for d in covers if self.leq(x, d))
             cells.append(Cell(y, c.rank - shift, covers, c.label))
-        return SimplicialPoset(self.rank - shift, cells)
-
-def validate(rank, cells):
-    """Build a SimplicialPoset, raising PosetError with all violations."""
-    return SimplicialPoset(rank, cells)
+        top = max(c.rank for c in cells)
+        if top != self.rank - shift:
+            raise PosetError([f"declared rank {self.rank - shift} but maximal "
+                              f"element rank is {top}"])
+        return SimplicialPoset._trusted(self.rank - shift, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +332,12 @@ def validate(rank, cells):
 
 
 def point_poset():
-    return SimplicialPoset(0, [Cell(0, 0, ())])
+    return SimplicialPoset._trusted(0, [Cell(0, 0, ())])
 
 
-def _cells_from_subsets(subsets):
-    """Cell table for a complex whose cells are the given vertex subsets."""
-    subsets = sorted(subsets, key=lambda s: (len(s), s))
+def _simplex_faces(verts, top):
+    """Cell table of the faces of the simplex on verts with 1..top vertices."""
+    subsets = [s for k in range(1, top + 1) for s in itertools.combinations(verts, k)]
     ids = {(): 0}
     cells = [Cell(0, 0, ())]
     for s in subsets:
@@ -340,18 +352,14 @@ def simplex_boundary(n):
     """Face poset of the boundary of the n-simplex (the CP^n orbit poset)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    verts = range(1, n + 2)
-    subsets = [s for k in range(1, n + 1) for s in itertools.combinations(verts, k)]
-    return SimplicialPoset(n, _cells_from_subsets(subsets)[0])
+    return SimplicialPoset._trusted(n, _simplex_faces(range(1, n + 2), n)[0])
 
 
 def simplex_poset(n):
     """Face poset of the full (n-1)-simplex on n vertices (a disc)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    verts = range(1, n + 1)
-    subsets = [s for k in range(1, n + 1) for s in itertools.combinations(verts, k)]
-    return SimplicialPoset(n, _cells_from_subsets(subsets)[0])
+    return SimplicialPoset._trusted(n, _simplex_faces(range(1, n + 1), n)[0])
 
 
 def sphere_poset(n):
@@ -360,14 +368,13 @@ def sphere_poset(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     verts = tuple(range(1, n + 1))
-    subsets = [s for k in range(1, n) for s in itertools.combinations(verts, k)]
-    cells, ids = _cells_from_subsets(subsets)
+    cells, ids = _simplex_faces(verts, n - 1)
     boundary = tuple(sorted(ids[t] for t in itertools.combinations(verts, n - 1)))
     nxt = len(cells)
     for label in ("p", "q"):
         cells.append(Cell(nxt, n, boundary, label))
         nxt += 1
-    return SimplicialPoset(n, cells)
+    return SimplicialPoset._trusted(n, cells)
 
 
 def sphere_product_poset(k, l):
@@ -400,7 +407,7 @@ def join(p1, p2):
         if p2.rank_of(y) > 0:
             parts.append("R" + p2.cell(y).named())
         cells.append(Cell(i, r, tuple(sorted(covers)), "|".join(parts) or None))
-    return SimplicialPoset(p1.rank + p2.rank, cells)
+    return SimplicialPoset._trusted(p1.rank + p2.rank, cells)
 
 
 def connected_sum(p1, top1, p2, top2, matching=None):
@@ -419,6 +426,9 @@ def connected_sum(p1, top1, p2, top2, matching=None):
         raise PosetError([f"rank mismatch: {p1.rank} vs {p2.rank}"])
     if p1.rank_of(top1) != n or p2.rank_of(top2) != n:
         raise PosetError(["chosen cells are not top-dimensional"])
+    if len(p1.tops()) == len(p2.tops()) == 1:
+        raise PosetError(["connected sum would remove the only top cell of "
+                          "both operands"])
     a1 = sorted(p1.atoms(top1))
     a2 = sorted(p2.atoms(top2))
     if matching is None:
@@ -451,11 +461,7 @@ def connected_sum(p1, top1, p2, top2, matching=None):
         c = p2.cell(y)
         covers = tuple(sorted(image(d) for d in c.covers))
         cells.append(Cell(new_id, c.rank, covers, c.label))
-    try:
-        out = SimplicialPoset(n, cells)
-    except PosetError as err:
-        raise PosetError(["identification produced a non-simplicial poset"]
-                         + err.violations)
+    out = SimplicialPoset._trusted(n, cells)
 
     h, h1, h2 = out.h_vector(), p1.h_vector(), p2.h_vector()
     expect = [h1[i] + h2[i] for i in range(n + 1)]
@@ -499,7 +505,7 @@ def barycentric_subdivision(p, force=False):
             covers = tuple(sorted(ids[c[:j] + c[j + 1:]] for j in range(len(c))))
             label = None
         cells.append(Cell(i, len(c), covers, label))
-    return SimplicialPoset(p.rank, cells)
+    return SimplicialPoset._trusted(p.rank, cells)
 
 
 def stellar_subdivision(p, x):
@@ -549,7 +555,7 @@ def stellar_subdivision(p, x):
             covers = tuple(sorted(covers))
         label = "b" if w == p.root else None
         cells.append(Cell(i, rk, covers, label))
-    out = SimplicialPoset(p.rank, cells)
+    out = SimplicialPoset._trusted(p.rank, cells)
     if out.euler_characteristic() != p.euler_characteristic():
         raise PosetError(["stellar subdivision changed the Euler characteristic"])
     return out
@@ -619,14 +625,23 @@ def to_json_dict(p):
 def from_json_dict(data):
     if not isinstance(data, dict) or "rank" not in data or "cells" not in data:
         raise ValueError("poset JSON needs 'rank' and 'cells'")
-    if not isinstance(data["rank"], int) or not isinstance(data["cells"], list):
+    if type(data["rank"]) is not int or not isinstance(data["cells"], list):
         raise ValueError("poset JSON field types are wrong")
     cells = []
     for raw in data["cells"]:
         try:
-            cells.append(Cell(int(raw["id"]), int(raw["rank"]),
-                              tuple(int(d) for d in raw["covers"]),
+            if not isinstance(raw, dict):
+                raise ValueError("a cell must be an object")
+            if not isinstance(raw["covers"], list):
+                raise ValueError("covers must be a list")
+            if not isinstance(raw.get("label", ""), str):
+                raise ValueError("label must be a string")
+            # bool is an int subclass: JSON true must not pass as 1
+            if any(type(v) is not int
+                   for v in (raw["id"], raw["rank"], *raw["covers"])):
+                raise ValueError("id, rank and covers entries must be integers")
+            cells.append(Cell(raw["id"], raw["rank"], tuple(raw["covers"]),
                               raw.get("label")))
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, ValueError) as err:
             raise ValueError(f"bad cell entry {raw!r}: {err}")
     return SimplicialPoset(data["rank"], cells)

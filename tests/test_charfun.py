@@ -68,6 +68,17 @@ def test_missing_assignment_reported(s4_poset):
     assert not ok and any("missing" in v for v in violations)
 
 
+@pytest.mark.parametrize("vectors", [{1: [1, 0], 2: [0, 1, 0]},
+                                     {1: [1, 0, 0], 2: [0, 1, 0]},
+                                     {1: [1], 2: [1]}])
+def test_wrong_vector_length_reported(s4_poset, vectors):
+    ok, violations = check_unimodular(s4_poset, vectors)
+    assert not ok and any("expected 2" in v for v in violations)
+    ok, violations = check_unimodular(s4_poset, CharacteristicMap(3, {
+        1: (1, 0, 0), 2: (0, 1, 0)}))
+    assert not ok and any("has length 3" in v for v in violations)
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -235,3 +235,52 @@ def test_output_file(tmp_path, sphere2_file):
     code = cli.main(["--output", str(target), "poset-hvector", sphere2_file])
     assert code == 0
     assert json.loads(target.read_text())["h"] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("cell", [{"id": 1, "rank": 1, "covers": "0"},
+                                  {"id": 1.5, "rank": 1, "covers": [0]},
+                                  {"id": 1, "rank": True, "covers": [0]},
+                                  {"id": 1, "rank": 1, "covers": ["0"]},
+                                  {"id": 1, "rank": 1, "covers": [0],
+                                   "label": ["p"]}])
+def test_non_integer_poset_fields_exit_two(capsys, tmp_path, cell):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": 1, "cells": [
+        {"id": 0, "rank": 0, "covers": []}, cell,
+        {"id": 2, "rank": 1, "covers": [0]}]}))
+    for command in ("poset-validate", "homology"):
+        code, report = run(capsys, command, str(path))
+        assert code == 2 and "bad.json" in report["error"]
+
+
+@pytest.mark.parametrize("command", ["charfun-check", "gkm-report", "betti",
+                                     "present-ring", "sw-parity"])
+@pytest.mark.parametrize("vectors", [{"1": [1, 0], "2": [0, 1, 0]},
+                                     {"1": [1, 0, 0], "2": [0, 1, 0]},
+                                     {"1": "10", "2": [0, 1]},
+                                     {"1": [1.0, 0], "2": [0, 1]},
+                                     {"1": [True, 0], "2": [0, 1]}])
+def test_malformed_vectors_exit_two(capsys, tmp_path, sphere2_file,
+                                    command, vectors):
+    path = tmp_path / "chi.json"
+    path.write_text(json.dumps(vectors))
+    code, report = run(capsys, command, sphere2_file, str(path))
+    assert code == 2 and "vector for" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["poset-validate", "{poset}"], ["poset-hvector", "{poset}"],
+    ["poset-subdivide", "barycentric", "{poset}"],
+    ["poset-join", "{poset}", "{poset}"],
+    ["poset-connectsum", "{poset}", "{poset}"], ["homology", "{poset}"],
+    ["cm-check", "{poset}"], ["gorenstein-check", "{poset}"],
+    ["charfun-find", "{poset}"], ["charfun-check", "{poset}", "{chi}"],
+    ["gkm-report", "{poset}", "{chi}"], ["betti", "{poset}", "{chi}"],
+    ["present-ring", "{poset}", "{chi}"], ["sw-parity", "{poset}", "{chi}"],
+    ["hilbert-check", "{poset}"], ["realize", "--target", "1,2,1"]])
+def test_non_integer_rank_bound_exit_two(capsys, monkeypatch, sphere2_file,
+                                         chi2_file, argv):
+    monkeypatch.setenv("TORUSFAN_MAX_RANK", "abc")
+    argv = [a.format(poset=sphere2_file, chi=chi2_file) for a in argv]
+    code, report = run(capsys, *argv)
+    assert code == 2 and "TORUSFAN_MAX_RANK" in report["error"]

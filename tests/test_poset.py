@@ -5,13 +5,15 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusfan.poset import (Cell, PosetError, RankBoundError, SimplicialPoset,
                             are_isomorphic, barycentric_subdivision,
-                            connected_sum, from_json_dict, join, point_poset,
-                            poset_violations, simplex_boundary, simplex_poset,
-                            sphere_poset, sphere_product_poset,
-                            stellar_subdivision, to_json_dict)
+                            connected_sum, from_json_dict, join,
+                            max_rank_bound, point_poset, poset_violations,
+                            simplex_boundary, simplex_poset, sphere_poset,
+                            sphere_product_poset, stellar_subdivision,
+                            to_json_dict)
 from conftest import builder_family, s4_cells
 
 
@@ -65,6 +67,12 @@ def test_rank_bound_respected(monkeypatch):
     simplex_boundary(4)
 
 
+def test_rank_bound_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("TORUSFAN_MAX_RANK", "abc")
+    with pytest.raises(ValueError, match="TORUSFAN_MAX_RANK"):
+        max_rank_bound()
+
+
 def _random_gluing(rng, n, pool_size, n_tops):
     """Random simplicial cell complex: n_tops top simplices on a shared
     vertex pool; repeated vertex sets become doubled cells, shared proper
@@ -100,6 +108,74 @@ def test_random_simplex_gluings_validate():
         n = rng.choice([2, 3])
         p = _random_gluing(rng, n, pool_size=n + 3, n_tops=rng.randrange(1, 5))
         assert not poset_violations(p.rank, list(p.cells.values()))
+
+
+def _random_builder(rng, max_rank):
+    n = rng.randint(1, max_rank)
+    k = rng.randint(1, max(1, n - 1))
+    return rng.choice([
+        point_poset,
+        lambda: simplex_boundary(n),
+        lambda: simplex_poset(n),
+        lambda: sphere_poset(n),
+        lambda: sphere_product_poset(k, max(1, n - k)),
+    ])()
+
+
+def _random_base(rng, max_rank=3):
+    ranks = [r for r in (2, 3) if r <= max_rank]
+    if ranks and rng.random() < 0.5:
+        n = rng.choice(ranks)
+        return _random_gluing(rng, n, pool_size=n + 3, n_tops=rng.randrange(1, 5))
+    return _random_builder(rng, max_rank)
+
+
+def _random_surgery(rng, op):
+    """One output of the trusted constructor: a builder or gluing, or one
+    surgery applied to such a poset."""
+    p = _random_base(rng)
+    if op == "join":
+        return join(p, _random_base(rng, max_rank=max(1, 4 - p.rank)))
+    if op == "connected_sum":
+        while p.rank == 0:
+            p = _random_base(rng)
+        q = from_json_dict(to_json_dict(_random_base(rng)))
+        while q.rank != p.rank or len(p.tops()) == len(q.tops()) == 1:
+            q = from_json_dict(to_json_dict(_random_base(rng, p.rank)))
+        t1, t2 = rng.choice(p.tops()), rng.choice(q.tops())
+        verts = sorted(q.atoms(t2))
+        rng.shuffle(verts)
+        return connected_sum(p, t1, q, t2, dict(zip(sorted(p.atoms(t1)), verts)))
+    if op == "stellar" and len(p) > 1:
+        return stellar_subdivision(p, rng.choice(p.elements()[1:]))
+    if op == "barycentric":
+        return barycentric_subdivision(p)
+    return p
+
+
+def _assert_validates(p):
+    assert not poset_violations(p.rank, list(p.cells.values()))
+    data = to_json_dict(p)
+    again = from_json_dict(data)
+    assert to_json_dict(again) == data
+    for x in p.cells:
+        assert again.downset(x) == p.downset(x)
+        assert again.atoms(x) == p.atoms(x)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_trusted_constructions_pass_full_validation(seed, op):
+    p = _random_surgery(random.Random(seed), op)
+    _assert_validates(p)
+    for x in p.elements():
+        if any(y in p.tops() for y in p.upset(x)):
+            _assert_validates(p.link(x))
+        else:  # below no top cell: possible once a sum removes a top
+            with pytest.raises(PosetError):
+                p.link(x)
 
 
 def test_mutated_tables_fail_validation():
@@ -344,6 +420,16 @@ def test_connected_sum_bad_matching():
         connected_sum(p, p.tops()[0], q, q.tops()[0], {1: 1, 2: 1})
 
 
+def test_connected_sum_needs_a_remaining_top_cell():
+    # two discs: removing both edges would leave two points in rank 2
+    for n in (1, 2, 3):
+        p, q = simplex_poset(n), simplex_poset(n)
+        with pytest.raises(PosetError, match="only top cell"):
+            connected_sum(p, p.tops()[0], q, q.tops()[0])
+    with pytest.raises(PosetError, match="only top cell"):
+        connected_sum(point_poset(), 0, point_poset(), 0)
+
+
 def test_connected_sum_interior_additivity_random():
     family = [p for p in builder_family(4).values()]
     rng = random.Random(8)
@@ -410,6 +496,18 @@ def test_link_of_triangle_vertex():
     assert link.f_vector() == (2,)
 
 
+def test_link_below_no_top_cell_is_refused():
+    # a triangle boundary plus an isolated vertex 4: not pure
+    cells = [Cell(0, 0, ())] + [Cell(v, 1, (0,)) for v in (1, 2, 3, 4)]
+    cells += [Cell(5, 2, (1, 2)), Cell(6, 2, (2, 3)), Cell(7, 2, (1, 3))]
+    p = SimplicialPoset(2, cells)
+    with pytest.raises(PosetError, match="declared rank 1"):
+        p.link(4)
+    for x in (0, 1, 5):
+        assert not poset_violations(p.link(x).rank,
+                                    list(p.link(x).cells.values()))
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 
@@ -421,8 +519,34 @@ def test_json_round_trip(s4_poset):
     assert data["cells"][0] == {"id": 0, "rank": 0, "covers": []}
 
 
+def _two_points(**cell1):
+    """JSON of two points, with fields of the cell with id 1 overridden."""
+    cells = [{"id": 0, "rank": 0, "covers": []},
+             {"id": 1, "rank": 1, "covers": [0]},
+             {"id": 2, "rank": 1, "covers": [0]}]
+    cells[1].update(cell1)
+    return {"rank": 1, "cells": cells}
+
+
 def test_json_rejects_bad_schema():
     with pytest.raises(ValueError):
         from_json_dict({"rank": 1})
     with pytest.raises(ValueError):
         from_json_dict({"rank": 1, "cells": [{"id": 0}]})
+    assert from_json_dict(_two_points(label="p")).f_vector() == (2,)
+    for bad in (_two_points(covers="0"), _two_points(covers=["0"]),
+                _two_points(covers=[0.0]), _two_points(covers=[True]),
+                _two_points(covers={"0": 0}), _two_points(id=1.5),
+                _two_points(id="1"), _two_points(rank=True),
+                _two_points(label=["p"]), _two_points(label=None),
+                {**_two_points(), "rank": True}, {**_two_points(), "rank": 1.0},
+                {"rank": 1, "cells": [0, 1]}):
+        with pytest.raises(ValueError):
+            from_json_dict(bad)
+    # "12" used to be read as the covers (1, 2)
+    edge = {"rank": 2, "cells": _two_points()["cells"] + [
+        {"id": 3, "rank": 2, "covers": "12"}]}
+    with pytest.raises(ValueError, match="covers must be a list"):
+        from_json_dict(edge)
+    edge["cells"][3]["covers"] = [1, 2]
+    assert from_json_dict(edge).f_vector() == (2, 1)
