@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import charfun, cohomology, facering, homology, poset as poset_mod, realize
@@ -139,10 +140,13 @@ def _cmd_poset_connectsum(args):
         raw = _load_json(args.matching)
         if not isinstance(raw, dict):
             raise InputError(f"{args.matching}: matching JSON must be an object")
-        try:
-            matching = {int(k): int(v) for k, v in raw.items()}
-        except (ValueError, TypeError) as err:
-            raise InputError(f"{args.matching}: {err}")
+        for k, v in raw.items():
+            # bool is an int subclass: JSON true must not pass as 1
+            if not re.fullmatch("-?[0-9]+", k) or type(v) is not int:
+                raise InputError(f"{args.matching}: entry {json.dumps(k)}: "
+                                 f"{json.dumps(v)} must map an integer vertex "
+                                 "id to an integer vertex id")
+        matching = {int(k): v for k, v in raw.items()}
     out = poset_mod.connected_sum(p1, t1, p2, t2, matching)
     return OK, {"ok": True, "poset": poset_mod.to_json_dict(out),
                 "h": list(out.h_vector())}

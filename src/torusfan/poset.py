@@ -322,8 +322,9 @@ class SimplicialPoset:
             cells.append(Cell(y, c.rank - shift, covers, c.label))
         top = max(c.rank for c in cells)
         if top != self.rank - shift:
-            raise PosetError([f"declared rank {self.rank - shift} but maximal "
-                              f"element rank is {top}"])
+            raise PosetError([f"link of {self.cell(x).named()}: declared "
+                              f"rank {self.rank - shift} but maximal element "
+                              f"rank is {top}"])
         return SimplicialPoset._trusted(self.rank - shift, cells)
 
 

@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
 
-from torusfan.poset import (Cell, SimplicialPoset, simplex_boundary,
-                            simplex_poset, sphere_poset, sphere_product_poset)
+from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
+                            connected_sum, from_json_dict, join, point_poset,
+                            simplex_boundary, simplex_poset, sphere_poset,
+                            sphere_product_poset, stellar_subdivision,
+                            to_json_dict)
 
 
 def s4_cells():
@@ -42,3 +47,75 @@ def examples_rank4():
 @pytest.fixture(scope="session")
 def disc():
     return simplex_poset(3)
+
+
+def random_gluing(rng, n, pool_size, n_tops):
+    """Random simplicial cell complex: n_tops top simplices on a shared
+    vertex pool; repeated vertex sets become doubled cells, shared proper
+    faces are identified."""
+    pool = list(range(1, pool_size + 1))
+    chosen = [tuple(sorted(rng.sample(pool, n))) for _ in range(n_tops)]
+    used = sorted({v for s in chosen for v in s})
+    faces = sorted({t for s in chosen for k in range(1, n)
+                    for t in itertools.combinations(s, k)},
+                   key=lambda t: (len(t), t))
+    ids = {(): 0}
+    cells = [Cell(0, 0, ())]
+    for v in used:
+        ids[(v,)] = len(cells)
+        cells.append(Cell(ids[(v,)], 1, (0,)))
+    for t in faces:
+        if len(t) == 1:
+            continue
+        ids[t] = len(cells)
+        covers = tuple(sorted(ids[u] for u in
+                              itertools.combinations(t, len(t) - 1)))
+        cells.append(Cell(ids[t], len(t), covers))
+    for s in chosen:
+        covers = tuple(sorted(ids[u] for u in
+                              itertools.combinations(s, n - 1)))
+        cells.append(Cell(len(cells), n, covers))
+    return SimplicialPoset(n, cells)
+
+
+def _random_builder(rng, max_rank):
+    n = rng.randint(1, max_rank)
+    k = rng.randint(1, max(1, n - 1))
+    return rng.choice([
+        point_poset,
+        lambda: simplex_boundary(n),
+        lambda: simplex_poset(n),
+        lambda: sphere_poset(n),
+        lambda: sphere_product_poset(k, max(1, n - k)),
+    ])()
+
+
+def _random_base(rng, max_rank=3):
+    ranks = [r for r in (2, 3) if r <= max_rank]
+    if ranks and rng.random() < 0.5:
+        n = rng.choice(ranks)
+        return random_gluing(rng, n, pool_size=n + 3, n_tops=rng.randrange(1, 5))
+    return _random_builder(rng, max_rank)
+
+
+def random_surgery(rng, op):
+    """One output of the trusted constructor: a builder or gluing, or one
+    surgery applied to such a poset."""
+    p = _random_base(rng)
+    if op == "join":
+        return join(p, _random_base(rng, max_rank=max(1, 4 - p.rank)))
+    if op == "connected_sum":
+        while p.rank == 0:
+            p = _random_base(rng)
+        q = from_json_dict(to_json_dict(_random_base(rng)))
+        while q.rank != p.rank or len(p.tops()) == len(q.tops()) == 1:
+            q = from_json_dict(to_json_dict(_random_base(rng, p.rank)))
+        t1, t2 = rng.choice(p.tops()), rng.choice(q.tops())
+        verts = sorted(q.atoms(t2))
+        rng.shuffle(verts)
+        return connected_sum(p, t1, q, t2, dict(zip(sorted(p.atoms(t1)), verts)))
+    if op == "stellar" and len(p) > 1:
+        return stellar_subdivision(p, rng.choice(p.elements()[1:]))
+    if op == "barycentric":
+        return barycentric_subdivision(p)
+    return p

@@ -96,11 +96,21 @@ def test_join_and_connectsum(capsys, tmp_path):
     tri.write_text(json.dumps(to_json_dict(simplex_boundary(2))))
     code, report = run(capsys, "poset-connectsum", str(tri), str(tri))
     assert code == 0 and report["h"] == [1, 2, 1]
+    matching = tmp_path / "m.json"
+    matching.write_text(json.dumps({"1": 2, "2": 1}))
+    code, report = run(capsys, "poset-connectsum", str(tri), str(tri),
+                       "--matching", str(matching))
+    assert code == 0 and report["h"] == [1, 2, 1]
 
 
 @pytest.mark.parametrize("matching", [[[1, 1], [2, 2], [3, 3]],
                                       {"a": 1, "2": 2, "3": 3},
-                                      {"1": [1], "2": 2, "3": 3}])
+                                      {"1": [1], "2": 2, "3": 3},
+                                      {"1": 1.7, "2": 2},
+                                      {"1": 1, "2": "2"},
+                                      {"1": True, "2": 2},
+                                      {"+1": 1, "2": 2},
+                                      {" 1": 1, "2": 2}])
 def test_connectsum_malformed_matching_exit_two(capsys, tmp_path, matching):
     tri = tmp_path / "tri.json"
     tri.write_text(json.dumps(to_json_dict(simplex_boundary(2))))
@@ -130,6 +140,21 @@ def test_cm_and_gorenstein(capsys, sphere2_file, tmp_path):
     code, report = run(capsys, "gorenstein-check", str(disc))
     assert code == 1 and report["ok"] is False
     assert report["pseudomanifold"] is False
+
+
+def test_non_pure_poset_names_the_refused_link(capsys, tmp_path):
+    # a triangle boundary plus an isolated vertex q, which lies below no edge
+    cells = [{"id": 0, "rank": 0, "covers": []}]
+    cells += [{"id": v, "rank": 1, "covers": [0]} for v in (1, 2, 3)]
+    cells += [{"id": 4, "rank": 1, "covers": [0], "label": "q"}]
+    cells += [{"id": 5 + i, "rank": 2, "covers": c}
+              for i, c in enumerate([[1, 2], [2, 3], [1, 3]])]
+    path = tmp_path / "nonpure.json"
+    path.write_text(json.dumps({"rank": 2, "cells": cells}))
+    for command in ("cm-check", "gorenstein-check"):
+        code, report = run(capsys, command, str(path))
+        assert code == 1 and report["violations"] == [
+            "link of q: declared rank 1 but maximal element rank is 0"]
 
 
 def test_charfun_find_and_check(capsys, sphere2_file, chi2_file, tmp_path):

@@ -1,6 +1,9 @@
 """Chain complexes, Smith normal form, links, CM and Gorenstein* verdicts."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusfan.homology import (HomologyError, _check_square_zero,
                                cell_chain_complex,
@@ -12,7 +15,8 @@ from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
                             simplex_boundary, simplex_poset, sphere_poset,
                             sphere_product_poset, stellar_subdivision)
 from torusfan.cohomology import dehn_sommerville_check
-from conftest import builder_family
+from conftest import builder_family, random_surgery
+from dense_linalg import _rank_mod_p, _rank_rational
 
 
 def _two_points():
@@ -47,6 +51,17 @@ def projective_plane():
     return complex_from_facets([
         (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 4, 6),
         (2, 3, 4), (2, 3, 6), (2, 4, 5), (3, 5, 6), (4, 5, 6)])
+
+
+def moore_space_mod3():
+    """A triangulated disc whose boundary 9-gon wraps three times around
+    the triangle 1, 2, 3: reduced homology Z/3 in dimension one."""
+    ring = [4 + k for k in range(9)]
+    outer = [1 + k % 3 for k in range(10)]
+    facets = [(0, ring[k], ring[(k + 1) % 9]) for k in range(9)]
+    facets += [(outer[k], outer[k + 1], ring[k]) for k in range(9)]
+    facets += [(outer[k + 1], ring[k], ring[(k + 1) % 9]) for k in range(9)]
+    return complex_from_facets(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +143,25 @@ def test_empty_complex_homology():
     assert hom.is_sphere(-1)
 
 
+def _field_cases():
+    return [*builder_family(3).values(), projective_plane(), moore_space_mod3()]
+
+
+def _dense_betti(p, char):
+    """Reduced Betti numbers over Q or GF(char) from the dense oracle ranks."""
+    cx = cell_chain_complex(p)
+    ranks = [_rank_mod_p(m, char) if char else _rank_rational(m)
+             for m in cx.boundaries] + [0]
+    return [n - ranks[d] - ranks[d + 1] for d, n in enumerate(cx.dims())]
+
+
 def test_field_homology_matches_rational():
-    for name, p in builder_family(3).items():
+    for p in _field_cases():
         hz = reduced_homology(p)
         for char in (0, 2, 3, 5):
             hf = reduced_homology(p, char)
+            assert hf.groups == {d: (betti, ()) for d, betti
+                                 in enumerate(_dense_betti(p, char))}, (p, char)
             for d, (betti, torsion) in hz.groups.items():
                 expect = betti
                 if char and char != 0:
@@ -141,12 +170,31 @@ def test_field_homology_matches_rational():
                     tor_here = sum(1 for t in torsion if t % char == 0)
                     tor_below = sum(1 for t in hz.torsion(d - 1) if t % char == 0)
                     expect = betti + tor_here + tor_below
-                assert hf.betti(d) == expect, (name, char, d)
+                assert hf.betti(d) == expect, (p, char, d)
 
 
 def test_cross_check_against_subdivision(s4_poset):
-    hom = reduced_homology(s4_poset, cross_check=True)
+    hom = reduced_homology(s4_poset)
+    assert hom == reduced_homology(barycentric_subdivision(s4_poset))
     assert hom.groups == {0: (0, ()), 1: (1, ())}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_homology_invariant_under_random_subdivision(seed, op):
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    subdivided = []
+    if len(p) > 1:  # the point poset has no proper cell to star
+        subdivided.append(stellar_subdivision(p, rng.choice(p.elements()[1:])))
+    if p.rank <= 3:
+        subdivided.append(barycentric_subdivision(p))
+    for char in (None, 0, 2, 3):
+        hom = reduced_homology(p, char)
+        for q in subdivided:
+            assert reduced_homology(q, char) == hom, (op, char)
 
 
 def test_homology_invariant_under_barycentric():
@@ -184,6 +232,11 @@ def test_link_of_triangle_vertex_is_two_points():
     p = simplex_boundary(2)
     hom = reduced_homology(p.link(p.vertices()[0]))
     assert hom.groups == {0: (1, ())}
+
+
+def test_moore_space_torsion():
+    hom = reduced_homology(moore_space_mod3())
+    assert hom.groups == {0: (0, ()), 1: (0, (3,)), 2: (0, ())}
 
 
 def test_projective_plane_torsion():
@@ -225,6 +278,27 @@ def test_projective_plane_cm_depends_on_field():
     assert verdicts[0].ok and verdicts[3].ok
     assert not verdicts[2].ok  # the 2-torsion in degree one blocks GF(2)
     assert not torsion_free_links(p).ok
+
+
+def test_cm_fields_in_one_pass_match_each_field_alone():
+    for p in _field_cases():
+        together = cohen_macaulay(p, (0, 2, 3, 5))
+        for char in (0, 2, 3, 5):
+            assert together[char] == cohen_macaulay(p, (char,))[char], char
+
+
+def test_cm_takes_each_link_once(monkeypatch):
+    p = projective_plane()
+    calls = []
+    link = SimplicialPoset.link
+
+    def counted(self, x):
+        calls.append(x)
+        return link(self, x)
+
+    monkeypatch.setattr(SimplicialPoset, "link", counted)
+    cohen_macaulay(p, (0, 2, 3, 5))
+    assert sorted(calls) == sorted(p.elements())
 
 
 def test_torsion_free_links_on_family():
