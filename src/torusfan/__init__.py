@@ -18,8 +18,8 @@ from .facering import (Domain, FaceRing, RingElement, RingError,
                        total_restriction)
 from .homology import (cell_chain_complex, cohen_macaulay, euler_sphere_check,
                        gorenstein_star, gorenstein_star_subdivided,
-                       pseudomanifold, reduced_homology, smith_normal_form,
-                       torsion_free_links)
+                       link_verdicts, pseudomanifold, reduced_homology,
+                       smith_normal_form, torsion_free_links)
 from .charfun import (CharacteristicMap, GKMError, GKMGraph, build_gkm_graph,
                       check_unimodular, divisibility_check,
                       face_ring_to_gkm, find_characteristic_map,
@@ -30,7 +30,7 @@ from .cohomology import (RingPresentation, SWParityReport, betti_numbers,
                          sw_parity)
 from .realize import (Block, BlockDecomposition, HVectorTarget,
                       MalformedTargetError, Realization, RealizationError,
-                      Refusal, admissible, classify, decompose, realize_poset,
-                      realize_with_lambda)
+                      Refusal, admissible, classify, decompose,
+                      realize_decomposition, realize_with_lambda)
 
 __version__ = "0.1.0"

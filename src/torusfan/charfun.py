@@ -358,27 +358,21 @@ def gkm_subalgebra_dimension(graph, k):
         return 0
     n = graph.n
     monos = monomials_of_degree(n, k)
-    mono_index = {m: i for i, m in enumerate(monos)}
-    verts = list(graph.vertices)
-    vert_index = {p: i for i, p in enumerate(verts)}
-    width = len(verts) * len(monos)
-    rows = []
+    offset = {x: i * len(monos) for i, x in enumerate(graph.vertices)}
+    span = linalg.Span(0)
     for e in graph.edges:
-        p, q = e.ends
+        p, q = (offset[x] for x in e.ends)
         restricted = [restrict_to_hyperplane(Poly(n, {m: 1}), e.labels[0])
                       for m in monos]
         targets = sorted({t for r in restricted for t in r.coeffs})
         for t in targets:
-            row = [0] * width
+            row = {}
             for i, r in enumerate(restricted):
                 c = r.coeffs.get(t, 0)
                 if c:
-                    row[vert_index[p] * len(monos) + i] += c
-                    row[vert_index[q] * len(monos) + i] -= c
-            rows.append(row)
-    if not rows:
-        return width
-    return width - linalg.rank(rows, 0)
+                    row[p + i], row[q + i] = c, -c
+            span.add(row)
+    return len(offset) * len(monos) - span.rank
 
 
 def face_ring_to_gkm(graph, element):

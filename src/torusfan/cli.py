@@ -42,15 +42,22 @@ def _load_poset(path):
         raise InputError(f"{path}: {err}")
 
 
-def _load_vectors(path, n):
-    """{vertex: integer vector} from JSON; each vector must have length n."""
+def _load_vertex_map(path, what):
+    """A JSON object keyed by vertex ids, as {int id: value}; each key must
+    be a decimal integer string (-?[0-9]+: no sign '+', no spaces)."""
     raw = _load_json(path)
     if not isinstance(raw, dict):
-        raise InputError(f"{path}: characteristic map JSON must be an object")
-    try:
-        vectors = {int(k): v for k, v in raw.items()}
-    except ValueError as err:
-        raise InputError(f"{path}: {err}")
+        raise InputError(f"{path}: {what} JSON must be an object")
+    for k in raw:
+        if not re.fullmatch("-?[0-9]+", k):
+            raise InputError(f"{path}: key {json.dumps(k)} is not an "
+                             "integer vertex id")
+    return {int(k): v for k, v in raw.items()}
+
+
+def _load_vectors(path, n):
+    """{vertex: integer vector} from JSON; each vector must have length n."""
+    vectors = _load_vertex_map(path, "characteristic map")
     for x, v in vectors.items():
         if not isinstance(v, list) or any(type(c) is not int for c in v):
             raise InputError(f"{path}: vector for {x} must be a list of integers")
@@ -137,16 +144,14 @@ def _cmd_poset_connectsum(args):
         raise InputError(f"--tops {t1} {t2}: no such cells")
     matching = None
     if args.matching:
-        raw = _load_json(args.matching)
-        if not isinstance(raw, dict):
-            raise InputError(f"{args.matching}: matching JSON must be an object")
-        for k, v in raw.items():
+        matching = _load_vertex_map(args.matching, "matching")
+        for k, v in matching.items():
             # bool is an int subclass: JSON true must not pass as 1
-            if not re.fullmatch("-?[0-9]+", k) or type(v) is not int:
-                raise InputError(f"{args.matching}: entry {json.dumps(k)}: "
-                                 f"{json.dumps(v)} must map an integer vertex "
-                                 "id to an integer vertex id")
-        matching = {int(k): v for k, v in raw.items()}
+            if type(v) is not int:
+                raise InputError(
+                    f"{args.matching}: entry {json.dumps(str(k))}: "
+                    f"{json.dumps(v)} must map an integer vertex id to an "
+                    "integer vertex id")
     out = poset_mod.connected_sum(p1, t1, p2, t2, matching)
     return OK, {"ok": True, "poset": poset_mod.to_json_dict(out),
                 "h": list(out.h_vector())}
@@ -166,8 +171,7 @@ def _cmd_homology(args):
 def _cmd_cm_check(args):
     p = _load_poset(args.poset)
     chars = [_require_char(c) for c in args.fields]
-    verdicts = homology.cohen_macaulay(p, chars)
-    torsion = homology.torsion_free_links(p)
+    verdicts, torsion = homology.link_verdicts(p, chars)
     fields = [{"char": c, "ok": v.ok, "witnesses": v.witnesses}
               for c, v in verdicts.items()]
     ok = all(v.ok for v in verdicts.values())

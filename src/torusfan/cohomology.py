@@ -1,11 +1,13 @@
 """Ordinary cohomology data of the combinatorial torus manifold.
 
 Everything here reduces to degree-by-degree linear algebra on chain
-monomial bases: Betti ranks come from the graded quotient of the face
-ring by the linear system attached to a characteristic map, the ring
-presentation lists the straightening and linear relations, and the
-parity test evaluates the product of (1 + v_i) over the vertices in the
-mod 2 quotient.
+monomial bases.  One graded quotient of the face ring by the linear
+system attached to a characteristic map (``_quotient``: per degree, the
+span of the rows theta_j * m) serves three readers: Betti ranks are its
+dimensions, the quotient basis is its monomials at no pivot column, and
+the parity test evaluates the product of (1 + v_i) over the vertices in
+its mod 2 reduction.  The ring presentation lists the straightening and
+linear relations.
 """
 
 from __future__ import annotations
@@ -21,38 +23,37 @@ class CohomologyError(TorusfanError):
     pass
 
 
-def _ideal_rows(poset, ring, chi, basis_lo, basis_hi):
-    """Coefficient vectors of theta_j * m over basis_hi, for every j and
-    every monomial m in basis_lo; all entries are integers."""
-    n = chi.n
+def _quotient(ring, chi, char, kmax):
+    """For each degree 2k, k <= kmax: {chain monomial: position} over the
+    chain-monomial basis, and the Span over GF(char), or Q for char 0, of
+    the rows theta_j * m for every j and every monomial m of degree 2k - 2.
+    ``ring`` is the integer face ring."""
+    poset = ring.poset
     vertices = sorted(poset.vertices())
-    index = {m: i for i, m in enumerate(basis_hi)}
-    rows = []
-    for m in basis_lo:
-        prods = {v: ring.monomial_product(((v, 1),), m) for v in vertices}
-        for j in range(n):
-            vec = [0] * len(basis_hi)
+    out = []
+    for k in range(kmax + 1):
+        index = {m: i for i, m in enumerate(chain_monomial_basis(poset, k))}
+        span = linalg.Span(char)
+        for m in out[-1][0] if out else ():
+            rows = [{} for _ in range(chi.n)]
             for v in vertices:
-                c = chi.vec(v)[j]
-                if c:
-                    for mono, k in prods[v].items():
-                        vec[index[mono]] += c * k
-            rows.append(vec)
-    return rows
+                prod = ring.monomial_product(((v, 1),), m)
+                for row, c in zip(rows, chi.vec(v)):
+                    if c:
+                        for mono, a in prod.items():
+                            i = index[mono]
+                            row[i] = row.get(i, 0) + c * a
+            for row in rows:
+                span.add(row)
+        out.append((index, span))
+    return out
 
 
 def quotient_dimensions(poset, chi, char=0, kmax=None):
     """Dimensions of (face ring / (theta_1..theta_n))_{2k} for k <= kmax."""
-    n = poset.rank
-    if kmax is None:
-        kmax = n
-    ring = FaceRing(poset)
-    bases = [chain_monomial_basis(poset, k) for k in range(kmax + 1)]
-    dims = [1]
-    for k in range(1, kmax + 1):
-        rows = _ideal_rows(poset, ring, chi, bases[k - 1], bases[k])
-        dims.append(len(bases[k]) - (linalg.rank(rows, char) if rows else 0))
-    return dims
+    kmax = poset.rank if kmax is None else kmax
+    return [len(index) - span.rank
+            for index, span in _quotient(FaceRing(poset), chi, char, kmax)]
 
 
 def betti_numbers(poset, chi, char=0):
@@ -73,20 +74,13 @@ def betti_numbers(poset, chi, char=0):
 
 def graded_quotient_basis(poset, chi, char=0, kmax=None):
     """Monomial representatives of a basis of the graded quotient,
-    one list per degree 2k."""
-    n = poset.rank
-    if kmax is None:
-        kmax = n
+    one list per degree 2k: the monomials at no pivot column."""
+    kmax = poset.rank if kmax is None else kmax
     ring = FaceRing(poset, Domain.from_char(char))
-    zring = FaceRing(poset)
-    bases = [chain_monomial_basis(poset, k) for k in range(kmax + 1)]
-    out = {0: [ring.one()]}
-    for k in range(1, kmax + 1):
-        rows = _ideal_rows(poset, zring, chi, bases[k - 1], bases[k])
-        pivots = linalg.echelon_pivot_columns(rows, char) if rows else set()
-        out[k] = [ring.element([(m, 1)]) for i, m in enumerate(bases[k])
-                  if i not in pivots]
-    return out
+    quotient = _quotient(FaceRing(poset), chi, char, kmax)
+    return {k: [ring.element([(m, 1)]) for i, m in enumerate(index)
+                if i not in span.rows]
+            for k, (index, span) in enumerate(quotient)}
 
 
 # ---------------------------------------------------------------------------
@@ -178,61 +172,35 @@ def sw_parity(poset, chi):
         return SWParityReport(
             False, note=f"no linear system of parameters mod 2 (fails at {where})")
 
-    ring = FaceRing(poset)  # integer straightening; parity taken bitwise
-    bases = [chain_monomial_basis(poset, k) for k in range(n + 1)]
-    index = [{m: i for i, m in enumerate(b)} for b in bases]
-    vertices = sorted(poset.vertices())
-
-    def to_bits(mono_coeffs, k):
-        idx = index[k]
-        bits = 0
-        for mono, c in mono_coeffs.items():
-            if c & 1:
-                bits ^= 1 << idx[mono]
-        return bits
-
-    spans = [linalg.BitSpan() for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for m in bases[k - 1]:
-            prods = {v: ring.monomial_product(((v, 1),), m) for v in vertices}
-            for j in range(n):
-                vec = 0
-                for v in vertices:
-                    if chi.vec(v)[j] & 1:
-                        vec ^= to_bits(prods[v], k)
-                spans[k].add(vec)
-
-    top_dim = len(bases[n]) - spans[n].rank
+    ring = FaceRing(poset)
+    quotient = _quotient(ring, chi, 2, n)
+    index, span = quotient[n]
+    top_dim = len(index) - span.rank
     if top_dim != 1:
         return SWParityReport(
             False, note=f"degree-2n quotient has dimension {top_dim}, not 1 "
                         "(input is not Gorenstein*)")
-    socles = {spans[n].reduce(1 << index[n][((t, 1),)]) for t in poset.tops()}
-    if len(socles) != 1 or 0 in socles:
+    socles = [span.reduce({index[((t, 1),)]: 1}) for t in poset.tops()]
+    socle = socles[0]
+    if not socle or any(s != socle for s in socles):
         return SWParityReport(
             False, note="top cells do not share a single nonzero socle class")
-    socle = socles.pop()
 
-    # w = prod over vertices of (1 + v_i), tracked degree by degree
-    w = [0] * (n + 1)
-    w[0] = 1  # the class of 1 in the one-dimensional degree-0 piece
-    for v in vertices:
-        bump = [0] * (n + 1)
-        for k in range(1, n + 1):
-            acc = 0
-            part = w[k - 1]
-            i = 0
-            while part:
-                if part & 1:
-                    acc ^= to_bits(ring.monomial_product(((v, 1),),
-                                                         bases[k - 1][i]), k)
-                part >>= 1
-                i += 1
-            bump[k] = spans[k].reduce(acc)
-        for k in range(1, n + 1):
-            w[k] ^= bump[k]
+    # w = prod over vertices of (1 + v_i), one residue per degree; going
+    # down in degree, w_k + v w_{k-1} still reads the old w_{k-1}
+    bases = [list(index) for index, _ in quotient]
+    w = [{0: 1}] + [{} for _ in range(n)]
+    for v in sorted(poset.vertices()):
+        for k in range(n, 0, -1):
+            index, span = quotient[k]
+            acc = dict(w[k])
+            for i, c in w[k - 1].items():
+                prod = ring.monomial_product(((v, 1),), bases[k - 1][i])
+                for mono, a in prod.items():
+                    acc[index[mono]] = acc.get(index[mono], 0) + c * a
+            w[k] = span.reduce(acc)
 
-    if w[n] == 0:
+    if not w[n]:
         pairing = 0
     elif w[n] == socle:
         pairing = 1

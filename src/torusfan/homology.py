@@ -171,19 +171,33 @@ class Verdict:
         return self.ok
 
 
-def cohen_macaulay(poset, chars=(0, 2, 3, 5)):
-    """Reisner test per coefficient field: every link (including the link
-    of the least element) must have vanishing reduced homology below its
-    top dimension.  char 0 is the rationals."""
+def link_verdicts(poset, chars=(0, 2, 3, 5)):
+    """The Reisner test per coefficient field and the torsion test, from
+    one pass over the links: ({char: Verdict}, Verdict).  A field verdict
+    needs every link (including the link of the least element) to have
+    vanishing reduced homology below its top dimension, char 0 being the
+    rationals; the torsion verdict needs torsion-free integral homology."""
     witnesses = {char: [] for char in chars}
+    torsion = []
     for x, d, hom in _links(poset):
+        named = poset.cell(x).named()
         for char, found in witnesses.items():
             for dim, (betti, _) in sorted(hom.over(char).groups.items()):
                 if dim < d and betti:
-                    found.append(
-                        f"link of {poset.cell(x).named()} has reduced homology "
-                        f"rank {betti} in dimension {dim} < {d}")
-    return {char: Verdict(not found, found) for char, found in witnesses.items()}
+                    found.append(f"link of {named} has reduced homology "
+                                 f"rank {betti} in dimension {dim} < {d}")
+        for dim, (_, tor) in sorted(hom.groups.items()):
+            if tor:
+                torsion.append(f"link of {named} has torsion {list(tor)} "
+                               f"in dimension {dim}")
+    fields = {char: Verdict(not found, found)
+              for char, found in witnesses.items()}
+    return fields, Verdict(not torsion, torsion)
+
+
+def cohen_macaulay(poset, chars=(0, 2, 3, 5)):
+    """Reisner test per coefficient field (see ``link_verdicts``)."""
+    return link_verdicts(poset, chars)[0]
 
 
 def torsion_free_links(poset):
@@ -191,14 +205,7 @@ def torsion_free_links(poset):
 
     Together with the field verdicts this is the desk-scale stand-in for
     Cohen-Macaulayness over the integers."""
-    witnesses = []
-    for x, _, hom in _links(poset):
-        for dim, (_, tor) in sorted(hom.groups.items()):
-            if tor:
-                witnesses.append(
-                    f"link of {poset.cell(x).named()} has torsion {list(tor)} "
-                    f"in dimension {dim}")
-    return Verdict(not witnesses, witnesses)
+    return link_verdicts(poset, ())[1]
 
 
 def gorenstein_star(poset):

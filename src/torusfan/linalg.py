@@ -1,12 +1,13 @@
-"""Exact linear algebra: Smith normal form, ranks over Q and GF(p), GF(2) spans.
+"""Exact linear algebra: Smith normal form, spans and ranks over Q and GF(p).
 
 Matrices are lists of equal-length lists of Python ints.  One sparse
-kernel eliminates: rows are {column: value} dicts, and ``_echelon``
-inserts them one at a time into an echelon form keyed by leading column,
-over GF(p) or fraction-free over the integers.  Smith normal form first
-removes +-1 pivots by unimodular row steps and pivots densely only on the
-block left over (Kaczynski-Mischaikow-Mrozek, Computational Homology,
-2004; Dumas-Saunders-Villard, JSC 2001).  GF(2) spans are int bitmasks.
+kernel eliminates: rows are {column: value} dicts, and a ``Span`` inserts
+them one at a time into an echelon form keyed by leading column, over
+GF(p) or fraction-free over the integers; ``rank`` and
+``invert_unimodular`` are built on it.  Smith normal form first removes
++-1 pivots by unimodular row steps and pivots densely only on the block
+left over (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
+Dumas-Saunders-Villard, JSC 2001).
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from math import gcd
 from operator import index
 
 
-def _sparse(mat, p=0):
-    """The rows of a dense matrix as {column: value} dicts, mod p if p."""
-    if p:
-        mat = [[index(x) % p for x in row] for row in mat]
+def _sparse(mat):
+    """The rows of a dense integer matrix as {column: value} dicts."""
     return [{j: index(v) for j, v in enumerate(row) if v} for row in mat]
 
 
@@ -48,19 +47,53 @@ def _clear(r, q, c, p):
     return out
 
 
-def _echelon(rows, p):
-    """Echelon form {leading column: row} of sparse rows over GF(p), or
-    over Q when p == 0; the keys are the row space's pivot columns."""
-    pivots = {}
-    for r in rows:
+class Span:
+    """Row space of sparse integer rows {column: value} over GF(char),
+    char prime, or over Q when char is 0, kept in echelon form: ``rows``
+    maps each pivot column to the row whose least column it is.
+
+    >>> s = Span(2)
+    >>> s.add({0: 1, 2: 1}), s.add({0: 3, 2: 5}), s.add({1: 1, 2: 1})
+    (True, False, True)
+    >>> s.rank, sorted(s.rows), s.reduce({0: 1, 1: 1, 3: 1})
+    (2, [0, 1], {3: 1})
+    """
+
+    def __init__(self, char=0):
+        self.char = char
+        self.rows = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _residue(self, row, keep):
+        # entries are taken mod char here and nowhere else; with keep, a
+        # non-pivot column moves to the residue and elimination goes on
+        p, out = self.char, {}
+        r = {k: w for k, v in row.items() if (w := v % p if p else v)}
         while r:
             c = min(r)
-            q = pivots.get(c)
-            if q is None:
-                pivots[c] = r
-                break
-            r = _clear(r, q, c, p)
-    return pivots
+            q = self.rows.get(c)
+            if q is not None:
+                r = _clear(r, q, c, p)
+            elif keep:
+                out[c] = r.pop(c)
+            else:
+                return r
+        return out
+
+    def add(self, row):
+        """Insert a row; return True if the span grew."""
+        r = self._residue(row, False)
+        if r:
+            self.rows[min(r)] = r
+        return bool(r)
+
+    def reduce(self, row):
+        """The canonical residue of a row over GF(char): the one vector
+        congruent to it modulo the span that has no pivot column."""
+        return self._residue(row, True)
 
 
 def _dense_snf(a):
@@ -159,18 +192,19 @@ def smith_normal_form(mat):
 
 def rank(mat, char=0):
     """Rank over Q (char 0) or GF(char), char prime; entries must be ints."""
-    return len(_echelon(_sparse(mat, char), char))
-
-
-def echelon_pivot_columns(rows, char=0):
-    """Pivot columns of the row space over Q or GF(char); int entries only."""
-    return set(_echelon(_sparse(rows, char), char))
+    span = Span(char)
+    for r in _sparse(mat):
+        span.add(r)
+    return span.rank
 
 
 def invert_unimodular(mat):
     """Inverse of a square integer matrix with determinant +-1."""
     n = len(mat)
-    pivots = _echelon([{**r, n + i: 1} for i, r in enumerate(_sparse(mat))], 0)
+    span = Span(0)
+    for i, r in enumerate(_sparse(mat)):
+        span.add({**r, n + i: 1})
+    pivots = span.rows
     if any(c not in pivots for c in range(n)):
         raise ValueError("matrix is singular")
     # clear upward, so that row c keeps column c alone among the first n
@@ -186,40 +220,3 @@ def invert_unimodular(mat):
         out.append([r.get(n + j, 0) // r[c] for j in range(n)])
     return out
 
-
-class BitSpan:
-    """Row space of GF(2) vectors encoded as int bitmasks, kept echelonized."""
-
-    def __init__(self):
-        self._rows = {}  # leading bit -> reduced row
-        self._order = []  # pivot bits, descending
-
-    def reduce(self, v):
-        """Canonical residue: every pivot bit eliminated, in one descending
-        pass (rows are mutually reduced, so lower pivots cannot reappear)."""
-        rows = self._rows
-        for b in self._order:
-            if (v >> b) & 1:
-                v ^= rows[b]
-        return v
-
-    def add(self, v):
-        """Insert a vector; return True if it enlarged the span."""
-        v = self.reduce(v)
-        if not v:
-            return False
-        b = v.bit_length() - 1
-        # keep rows fully reduced against each other
-        for lead, row in self._rows.items():
-            if (row >> b) & 1:
-                self._rows[lead] = row ^ v
-        self._rows[b] = v
-        self._order = sorted(self._rows, reverse=True)
-        return True
-
-    def contains(self, v):
-        return self.reduce(v) == 0
-
-    @property
-    def rank(self):
-        return len(self._rows)

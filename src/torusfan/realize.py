@@ -171,7 +171,10 @@ def _fold_connected_sums(decomposition):
     return out
 
 
-def _realize_checked(decomposition, bound=2):
+def realize_decomposition(decomposition, bound=2):
+    """Build the connected sum of the blocks, verify the postconditions
+    (h-vector, Gorenstein*) and search for a characteristic map; returns
+    (poset, chi) or raises RealizationError."""
     if not decomposition.blocks:
         raise RealizationError("empty decomposition")
     poset = _fold_connected_sums(decomposition)
@@ -188,12 +191,6 @@ def _realize_checked(decomposition, bound=2):
         raise RealizationError(
             f"no characteristic map with coordinate bound {bound}")
     return poset, chi
-
-
-def realize_poset(decomposition, bound=2):
-    """Build the connected sum of the blocks and verify the postconditions
-    (h-vector, Gorenstein*, existence of a characteristic map)."""
-    return _realize_checked(decomposition, bound)[0]
 
 
 @dataclass
@@ -221,7 +218,7 @@ def realize_with_lambda(entries, bound=2):
                        "even rank with odd middle entry and a zero entry")
     decomposition = decompose(HVectorTarget(entries))
     try:
-        poset, chi = _realize_checked(decomposition, bound)
+        poset, chi = realize_decomposition(decomposition, bound)
     except RealizationError as err:
         if "no characteristic map" in str(err):
             return Refusal("search-bound-exhausted", str(err))

@@ -1,11 +1,13 @@
 """CLI subcommands: exit codes, report shapes, determinism, round trips."""
 
 import json
+import re
 
 import pytest
 
 from torusfan import cli
-from torusfan.poset import (from_json_dict, simplex_boundary, sphere_poset,
+from torusfan.poset import (SimplicialPoset, barycentric_subdivision,
+                            from_json_dict, simplex_boundary, sphere_poset,
                             to_json_dict)
 
 
@@ -284,13 +286,37 @@ def test_non_integer_poset_fields_exit_two(capsys, tmp_path, cell):
                                      {"1": [1, 0, 0], "2": [0, 1, 0]},
                                      {"1": "10", "2": [0, 1]},
                                      {"1": [1.0, 0], "2": [0, 1]},
-                                     {"1": [True, 0], "2": [0, 1]}])
+                                     {"1": [True, 0], "2": [0, 1]},
+                                     {" 1": [1, 0], "+2": [0, 1]},
+                                     {"1": [1, 0], "+2": [0, 1]},
+                                     {"1": [1, 0], "2 ": [0, 1]}])
 def test_malformed_vectors_exit_two(capsys, tmp_path, sphere2_file,
                                     command, vectors):
     path = tmp_path / "chi.json"
     path.write_text(json.dumps(vectors))
     code, report = run(capsys, command, sphere2_file, str(path))
-    assert code == 2 and "vector for" in report["error"]
+    # a key that is not a plain decimal integer is named; else the vector
+    bad = [k for k in vectors if not re.fullmatch("-?[0-9]+", k)]
+    expected = f"key {json.dumps(bad[0])}" if bad else "vector for"
+    assert code == 2 and expected in report["error"]
+
+
+def test_cm_check_takes_each_link_once(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "sd.json"
+    path.write_text(json.dumps(to_json_dict(
+        barycentric_subdivision(sphere_poset(3)))))
+    calls = []
+    link = SimplicialPoset.link
+
+    def counted(self, x):
+        calls.append(x)
+        return link(self, x)
+
+    monkeypatch.setattr(SimplicialPoset, "link", counted)
+    code, report = run(capsys, "cm-check", str(path), "--fields", "2,3")
+    p = from_json_dict(json.loads(path.read_text()))
+    assert code == 0 and [f["char"] for f in report["fields"]] == [2, 3]
+    assert len(p) == 39 and sorted(calls) == sorted(p.elements())
 
 
 @pytest.mark.parametrize("argv", [

@@ -192,6 +192,19 @@ def test_sw_parity_rejects_non_gorenstein(disc):
     assert not report.applicable
 
 
+def test_sw_parity_needs_one_nonzero_socle_class():
+    # edges {1,2} (doubled) and {1,3}: the degree-4 quotient is a line, but
+    # the class of the top cell {1,3} vanishes in it mod 2
+    cells = [Cell(0, 0, ()), Cell(1, 1, (0,)), Cell(2, 1, (0,)),
+             Cell(3, 1, (0,)), Cell(4, 2, (1, 2)), Cell(5, 2, (1, 3)),
+             Cell(6, 2, (1, 2))]
+    p = SimplicialPoset(2, cells)
+    chi = CharacteristicMap(2, {1: (1, -1), 2: (2, -1), 3: (1, 2)})
+    report = sw_parity(p, chi)
+    assert not report.applicable
+    assert report.note == "top cells do not share a single nonzero socle class"
+
+
 # ---------------------------------------------------------------------------
 # equivariant series
 

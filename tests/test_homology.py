@@ -9,10 +9,10 @@ from torusfan.homology import (HomologyError, _check_square_zero,
                                cell_chain_complex,
                                cohen_macaulay, euler_sphere_check,
                                gorenstein_star, gorenstein_star_subdivided,
-                               pseudomanifold, reduced_homology,
+                               link_verdicts, pseudomanifold, reduced_homology,
                                smith_normal_form, torsion_free_links)
 from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
-                            simplex_boundary, simplex_poset, sphere_poset,
+                            join, simplex_boundary, simplex_poset, sphere_poset,
                             sphere_product_poset, stellar_subdivision)
 from torusfan.cohomology import dehn_sommerville_check
 from conftest import builder_family, random_surgery
@@ -299,6 +299,20 @@ def test_cm_takes_each_link_once(monkeypatch):
     monkeypatch.setattr(SimplicialPoset, "link", counted)
     cohen_macaulay(p, (0, 2, 3, 5))
     assert sorted(calls) == sorted(p.elements())
+
+
+def test_link_verdicts_name_every_failing_link():
+    # the suspension of RP^2: torsion in the link of the root and in the
+    # links of both suspension points, which are RP^2 itself
+    p = join(projective_plane(), simplex_boundary(1))
+    fields, torsion = link_verdicts(p, (0, 2))
+    assert torsion.witnesses == [
+        "link of #0 has torsion [2] in dimension 2",
+        "link of R1 has torsion [2] in dimension 1",
+        "link of R2 has torsion [2] in dimension 1"]
+    assert fields[0].ok and len(fields[2].witnesses) == 3
+    assert fields == cohen_macaulay(p, (0, 2))
+    assert torsion == torsion_free_links(p)
 
 
 def test_torsion_free_links_on_family():

@@ -75,6 +75,14 @@ def _transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
+def _span(mat, p):
+    """A Span of the matrix rows, given with their zero entries."""
+    span = linalg.Span(p)
+    for row in mat:
+        span.add(dict(enumerate(row)))
+    return span
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_snf_matches_dense_oracle(seed):
     for mat in random_matrices(seed):
@@ -93,8 +101,45 @@ def test_rank_matches_dense_oracle(seed):
 def test_pivot_columns_match_dense_oracle(seed):
     for mat in random_matrices(seed):
         for p in (0,) + PRIMES:
-            assert (linalg.echelon_pivot_columns(mat, p)
+            assert (set(_span(mat, p).rows)
                     == dense_linalg.echelon_pivot_columns(mat, p)), (p, mat)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_span_add_grows_with_the_dense_rank(seed):
+    for mat in random_matrices(seed):
+        for p in (0,) + PRIMES:
+            span = linalg.Span(p)
+            for i, row in enumerate(mat):
+                before = span.rank
+                grew = span.add(dict(enumerate(row)))
+                assert span.rank == before + grew, (p, mat)
+                rank = (dense_linalg._rank_mod_p(mat[:i + 1], p) if p
+                        else dense_linalg._rank_rational(mat[:i + 1]))
+                assert span.rank == rank, (p, mat)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_span_reduce_gives_the_canonical_residue(seed):
+    rng = random.Random(seed)
+    for mat in random_matrices(seed):
+        width = len(mat[0]) if mat else 0
+        for p in PRIMES:
+            span = _span(mat, p)
+            u = {j: rng.randint(-4, 4) for j in range(width)}
+            residue = span.reduce(u)
+            assert not set(residue) & set(span.rows), (p, mat)
+            assert all(0 < v < p for v in residue.values()), (p, mat)
+            # residue is congruent to u: u - residue lies in the span
+            diff = {j: u[j] - residue.get(j, 0) for j in range(width)}
+            assert not _span(mat, p).add(diff), (p, mat)
+            # and is the same for every vector congruent to u
+            moved = dict(u)
+            for row in mat:
+                f = rng.randint(-3, 3)
+                for j, v in enumerate(row):
+                    moved[j] += f * v
+            assert span.reduce(moved) == residue, (p, mat)
 
 
 def test_boundary_matrices_match_dense_oracle():
@@ -104,7 +149,7 @@ def test_boundary_matrices_match_dense_oracle():
         for p in PRIMES:
             assert linalg.rank(mat, p) == dense_linalg._rank_mod_p(mat, p), (name, p)
         for p in (0, 2, 3):
-            assert (linalg.echelon_pivot_columns(mat, p)
+            assert (set(_span(mat, p).rows)
                     == dense_linalg.echelon_pivot_columns(mat, p)), (name, p)
         assert linalg.smith_normal_form(_transpose(mat)) == linalg.smith_normal_form(mat), name
 
@@ -146,8 +191,7 @@ def test_invert_unimodular_errors_match_dense_oracle():
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 2.0])
 def test_non_integer_entries_raise(entry):
     mat = [[1, 0], [entry, 3]]
-    calls = (linalg.smith_normal_form, linalg.rank, linalg.echelon_pivot_columns,
-             lambda m: linalg.rank(m, 3), lambda m: linalg.echelon_pivot_columns(m, 3),
+    calls = (linalg.smith_normal_form, linalg.rank, lambda m: linalg.rank(m, 3),
              linalg.invert_unimodular)
     for call in calls:
         with pytest.raises(TypeError):
@@ -160,8 +204,12 @@ def test_inputs_are_not_modified():
     linalg.smith_normal_form(mat)
     linalg.rank(mat)
     linalg.rank(mat, 3)
-    linalg.echelon_pivot_columns(mat)
-    assert mat == copy
+    rows = [dict(enumerate(row)) for row in mat]
+    span = linalg.Span(3)
+    for row in rows:
+        span.add(row)
+        span.reduce(row)
+    assert mat == copy and rows == [dict(enumerate(row)) for row in copy]
 
 
 def test_doctests():

@@ -11,8 +11,8 @@ from torusfan.homology import (euler_sphere_check, gorenstein_star,
 from torusfan.realize import (CASE1, CASE2, CASE3, INADMISSIBLE, MALFORMED,
                               Block, BlockDecomposition, HVectorTarget,
                               MalformedTargetError, Realization, Refusal,
-                              admissible, classify, decompose, realize_poset,
-                              realize_with_lambda)
+                              admissible, classify, decompose,
+                              realize_decomposition, realize_with_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +99,23 @@ def test_decompose_never_mixes_sphere_with_other_blocks():
 
 
 def test_realize_sphere():
-    poset = realize_poset(BlockDecomposition(2, (Block("sphere", 2),)))
+    poset, chi = realize_decomposition(BlockDecomposition(2, (Block("sphere", 2),)))
     assert poset.h_vector() == (1, 0, 1)
+    assert check_unimodular(poset, chi)[0]
 
 
 def test_realize_two_cp2_blocks():
     dec = BlockDecomposition(2, (Block("cpn", 2), Block("cpn", 2)))
-    poset = realize_poset(dec)
+    poset, chi = realize_decomposition(dec)
     assert poset.h_vector() == (1, 2, 1)
+    assert check_unimodular(poset, chi)[0]
 
 
 def test_realize_sphere_product_rank3():
     dec = BlockDecomposition(3, (Block("sphere_product", 3, 1),))
-    poset = realize_poset(dec)
+    poset, chi = realize_decomposition(dec)
     assert poset.h_vector() == (1, 1, 1, 1)
+    assert check_unimodular(poset, chi)[0]
 
 
 def test_realize_with_lambda_sphere():
@@ -125,7 +128,7 @@ def test_realize_with_lambda_sphere():
 def test_realize_empty_decomposition_aborts():
     from torusfan.realize import RealizationError
     with pytest.raises(RealizationError):
-        realize_poset(BlockDecomposition(2, ()))
+        realize_decomposition(BlockDecomposition(2, ()))
 
 
 def test_realize_refusals():
