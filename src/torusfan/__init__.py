@@ -11,15 +11,16 @@ from .poset import (Cell, PosetError, RankBoundError, SimplicialPoset,
                     poset_violations, simplex_boundary, simplex_poset,
                     sphere_poset, sphere_product_poset, stellar_subdivision,
                     to_json_dict)
-from .facering import (Domain, FaceRing, RingElement, RingError,
-                       chain_monomial, chain_monomial_basis, format_element,
+from .facering import (FaceRing, RingElement, RingError, chain_monomial,
+                       chain_monomial_basis, format_element,
                        graded_dimension, hilbert_check, lsop_from_lambda,
                        parse_element, restriction_at_vertex, straighten_product,
                        total_restriction)
 from .homology import (cell_chain_complex, cohen_macaulay, euler_sphere_check,
                        gorenstein_star, gorenstein_star_subdivided,
                        link_verdicts, pseudomanifold, reduced_homology,
-                       smith_normal_form, torsion_free_links)
+                       torsion_free_links)
+from .linalg import smith_normal_form
 from .charfun import (CharacteristicMap, GKMError, GKMGraph, build_gkm_graph,
                       check_unimodular, divisibility_check,
                       face_ring_to_gkm, find_characteristic_map,

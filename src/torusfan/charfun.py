@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from . import linalg
 from .poset import TorusfanError
@@ -23,6 +24,15 @@ from .polys import Poly, monomials_of_degree, restrict_to_hyperplane
 
 class GKMError(TorusfanError):
     pass
+
+
+def _integer_vector(v):
+    """v as a tuple of ints, or None when v has an entry that is not an
+    integer (nothing is truncated)."""
+    try:
+        return tuple(index(c) for c in v)
+    except TypeError:
+        return None
 
 
 def _is_primitive(vec):
@@ -39,8 +49,11 @@ class CharacteristicMap:
 
     def __init__(self, n, vectors):
         self.n = n
-        self.vectors = {int(x): tuple(int(c) for c in v) for x, v in vectors.items()}
+        self.vectors = {index(x): _integer_vector(v) for x, v in vectors.items()}
         for x, v in self.vectors.items():
+            if v is None:
+                raise GKMError(f"vector for {x} has non-integer entries: "
+                               f"{vectors[x]!r}")
             if len(v) != n:
                 raise GKMError(f"vector for {x} has length {len(v)}, expected {n}")
             if not _is_primitive(v):
@@ -64,19 +77,22 @@ def check_unimodular(poset, chi):
     """True iff every element's vertex vectors have all Smith factors 1.
 
     ``chi`` may be a CharacteristicMap or a plain {vertex: vector} dict;
-    the dict form lets non-primitive raw data come back as a violation
-    instead of a constructor error.  A vector whose length is not the
-    poset rank is a violation too.
+    the dict form lets raw data that is not integral or not primitive come
+    back as a violation instead of a constructor error.  A vector whose
+    length is not the poset rank is a violation too.
     """
     vectors = chi.vectors if isinstance(chi, CharacteristicMap) else {
-        int(x): tuple(int(c) for c in v) for x, v in chi.items()}
+        index(x): _integer_vector(v) for x, v in chi.items()}
     violations = []
     missing = [v for v in poset.vertices() if v not in vectors]
     if missing:
         violations.append(f"missing assignment on vertices {sorted(missing)}")
         return False, violations
     for x, v in sorted(vectors.items()):
-        if len(v) != poset.rank:
+        if v is None:
+            violations.append(f"vector for {x} has non-integer entries: "
+                              f"{chi[x]!r}")
+        elif len(v) != poset.rank:
             violations.append(
                 f"vector for {x} has length {len(v)}, expected {poset.rank}")
         elif not _is_primitive(v):
@@ -400,15 +416,3 @@ def face_ring_to_gkm(graph, element):
             out[p] = out[p] + term[p]
     return out
 
-
-def restriction_tuple_matrix(graph, elements):
-    """Coefficient matrix of the images of the given elements, one row per
-    element; used for image dimension and injectivity checks."""
-    n = graph.n
-    images = [face_ring_to_gkm(graph, a) for a in elements]
-    keys = sorted({(p, m) for img in images for p, poly in img.items()
-                   for m in poly.coeffs})
-    rows = []
-    for img in images:
-        rows.append([img[p].coeffs.get(m, 0) for p, m in keys])
-    return rows

@@ -13,7 +13,8 @@ import json
 import re
 import sys
 
-from . import charfun, cohomology, facering, homology, poset as poset_mod, realize
+from . import (charfun, cohomology, facering, homology, linalg,
+               poset as poset_mod, realize)
 from .poset import PosetError, RankBoundError, TorusfanError
 
 OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
@@ -74,11 +75,9 @@ def _load_chi(path, n):
 def _require_char(value):
     """Field characteristics must be 0 (the rationals) or a prime."""
     try:
-        if value != 0:
-            facering.Domain.prime_field(value)
-    except facering.RingError:
-        raise InputError(f"characteristic {value} is neither 0 nor prime")
-    return value
+        return linalg.check_char(value)
+    except ValueError as err:
+        raise InputError(str(err))
 
 
 def _render(payload, fmt):

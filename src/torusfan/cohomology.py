@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .facering import Domain, FaceRing, chain_monomial_basis, lsop_from_lambda
+from .facering import FaceRing, chain_monomial_basis, lsop_from_lambda
 from .poset import TorusfanError
 
 
@@ -76,7 +76,7 @@ def graded_quotient_basis(poset, chi, char=0, kmax=None):
     """Monomial representatives of a basis of the graded quotient,
     one list per degree 2k: the monomials at no pivot column."""
     kmax = poset.rank if kmax is None else kmax
-    ring = FaceRing(poset, Domain.from_char(char))
+    ring = FaceRing(poset, char)
     quotient = _quotient(FaceRing(poset), chi, char, kmax)
     return {k: [ring.element([(m, 1)]) for i, m in enumerate(index)
                 if i not in span.rows]

@@ -1,5 +1,11 @@
 """Face rings of simplicial posets, in chain-monomial normal form.
 
+Coefficients follow the one rule of the package: ``char`` None is the
+integers, 0 the rationals and a prime p the field GF(p) (``FaceRing``
+refuses any other value).  Ints and Fractions enter a ring exactly, through
+one conversion: a Fraction must be an integer over Z, and n/d is
+n * d^-1 mod p over GF(p), refused when p divides d.
+
 The face ring has one generator v_x of degree 2*rk(x) per element x of
 the poset minus its least element, subject to
 
@@ -14,7 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import index
 
+from .linalg import check_char
 from .poset import TorusfanError
 from .polys import Poly
 
@@ -23,60 +31,26 @@ class RingError(TorusfanError):
     pass
 
 
-class Domain:
-    """Coefficient domain: integers, rationals, or a prime field."""
-
-    __slots__ = ("kind", "p")
-
-    def __init__(self, kind, p=None):
-        if kind not in ("Z", "Q", "GF"):
-            raise RingError(f"unknown domain kind {kind!r}")
-        if kind == "GF":
-            if p is None or p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-                raise RingError(f"{p} is not prime")
-        self.kind = kind
-        self.p = p if kind == "GF" else None
-
-    @classmethod
-    def integers(cls):
-        return cls("Z")
-
-    @classmethod
-    def rationals(cls):
-        return cls("Q")
-
-    @classmethod
-    def prime_field(cls, p):
-        return cls("GF", p)
-
-    @classmethod
-    def from_char(cls, char):
-        return cls.rationals() if char == 0 else cls.prime_field(char)
-
-    @property
-    def char(self):
-        return self.p or 0
-
-    def coerce(self, c):
-        if self.kind == "Z":
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise RingError(f"{c} is not an integer")
-                return int(c)
-            return int(c)
-        if self.kind == "Q":
-            return Fraction(c)
-        return int(c) % self.p
-
-    def __eq__(self, other):
-        return (isinstance(other, Domain) and self.kind == other.kind
-                and self.p == other.p)
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
-
-    def __repr__(self):
-        return {"Z": "Z", "Q": "Q"}.get(self.kind, f"GF({self.p})")
+def _coefficient(char, c):
+    """The exact image of c, an int or a Fraction, in Z (char None), Q
+    (char 0) or GF(char): n/d maps to n * d^-1 mod char.  Nothing is
+    truncated; a non-integer over Z and a denominator divisible by char
+    are refused."""
+    if type(c) is int:  # the common case, before the slower ABC check
+        n, d = c, 1
+    elif isinstance(c, Fraction):
+        n, d = c.numerator, c.denominator
+    else:
+        n, d = index(c), 1
+    if char is None:
+        if d != 1:
+            raise RingError(f"{c} is not an integer")
+        return n
+    if not char:
+        return Fraction(n, d)
+    if d % char == 0:
+        raise RingError(f"{c} has no value in GF({char})")
+    return (n if d == 1 else n * pow(d, -1, char)) % char
 
 
 def chain_monomial(poset, pairs):
@@ -192,7 +166,7 @@ class RingElement:
         self.ring.require_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = self.ring.domain.coerce(out.get(m, 0) + c)
+            v = _coefficient(self.ring.char, out.get(m, 0) + c)
             if v:
                 out[m] = v
             else:
@@ -201,7 +175,7 @@ class RingElement:
 
     def __neg__(self):
         return RingElement(self.ring,
-                           {m: self.ring.domain.coerce(-c)
+                           {m: _coefficient(self.ring.char, -c)
                             for m, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -215,9 +189,9 @@ class RingElement:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = self.ring.domain.coerce(c)
+        c = _coefficient(self.ring.char, c)
         return RingElement(self.ring,
-                           {m: self.ring.domain.coerce(c * v)
+                           {m: _coefficient(self.ring.char, c * v)
                             for m, v in self.terms.items()})
 
     def __pow__(self, k):
@@ -228,10 +202,10 @@ class RingElement:
 
     def __eq__(self, other):
         return (isinstance(other, RingElement) and self.ring.poset is other.ring.poset
-                and self.ring.domain == other.ring.domain and self.terms == other.terms)
+                and self.ring.char == other.ring.char and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((id(self.ring.poset), self.ring.domain,
+        return hash((id(self.ring.poset), self.ring.char,
                      tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
@@ -239,38 +213,39 @@ class RingElement:
 
 
 class FaceRing:
-    """The face ring of a simplicial poset over a coefficient domain."""
+    """The face ring of a simplicial poset with coefficients in Z (char
+    None), Q (char 0) or GF(char) for a prime char."""
 
-    def __init__(self, poset, domain=None):
+    def __init__(self, poset, char=None):
         self.poset = poset
-        self.domain = domain if domain is not None else Domain.integers()
+        self.char = char if char is None else check_char(char)
         self._product_cache = {}
 
     def require_same(self, other):
         if isinstance(other, RingElement):
             if other.ring.poset is not self.poset:
                 raise RingError("elements live over different posets")
-            if other.ring.domain != self.domain:
-                raise RingError("elements live over different domains")
+            if other.ring.char != self.char:
+                raise RingError("elements live over different coefficients")
 
     def zero(self):
         return RingElement(self, {})
 
     def one(self):
-        return RingElement(self, {(): self.domain.coerce(1)})
+        return RingElement(self, {(): _coefficient(self.char, 1)})
 
     def gen(self, x):
         """The generator v_x."""
         if x == self.poset.root or x not in self.poset.cells:
             raise RingError(f"{x} is not a generator")
-        return RingElement(self, {((x, 1),): self.domain.coerce(1)})
+        return RingElement(self, {((x, 1),): _coefficient(self.char, 1)})
 
     def element(self, term_pairs):
         """Element from (pairs, coefficient) items; pairs as for chain_monomial."""
         terms = {}
         for pairs, c in term_pairs:
             m = chain_monomial(self.poset, pairs)
-            v = self.domain.coerce(terms.get(m, 0) + c)
+            v = _coefficient(self.char, terms.get(m, 0) + c)
             if v:
                 terms[m] = v
             else:
@@ -293,7 +268,7 @@ class FaceRing:
             for m2, c2 in b.terms.items():
                 c12 = c1 * c2
                 for m, k in self.monomial_product(m1, m2).items():
-                    v = self.domain.coerce(out.get(m, 0) + c12 * k)
+                    v = _coefficient(self.char, out.get(m, 0) + c12 * k)
                     if v:
                         out[m] = v
                     else:
@@ -305,12 +280,6 @@ class FaceRing:
 # restrictions to vertices of the orbit space (top cells of the poset)
 
 
-def restriction_points(poset):
-    """Where restrictions land: the top cells when the poset is pure,
-    otherwise all maximal elements."""
-    return poset.tops() if poset.is_pure() else poset.maximal_elements()
-
-
 def restriction_at_vertex(element, p):
     """Restriction of a face-ring element at a maximal cell p.
 
@@ -319,11 +288,11 @@ def restriction_at_vertex(element, p):
     the product of the variables below x if x <= p and to 0 otherwise.
     """
     poset = element.ring.poset
-    domain = element.ring.domain
-    if p not in restriction_points(poset):
+    char = element.ring.char
+    if p not in poset.maximal_elements():
         raise RingError(f"{p} is not a restriction point")
     vertex_list = sorted(poset.atoms(p))
-    index = {v: j for j, v in enumerate(vertex_list)}
+    slot = {v: j for j, v in enumerate(vertex_list)}
     nvars = len(vertex_list)
     coeffs = {}
     for mono, coeff in element.terms.items():
@@ -332,20 +301,20 @@ def restriction_at_vertex(element, p):
         exp = [0] * nvars
         for x, a in mono:
             for v in poset.atoms(x):
-                exp[index[v]] += a
+                exp[slot[v]] += a
         exp = tuple(exp)
-        coeffs[exp] = domain.coerce(coeffs.get(exp, 0) + coeff)
+        coeffs[exp] = _coefficient(char, coeffs.get(exp, 0) + coeff)
     return Poly(nvars, coeffs)
 
 
 def total_restriction(element):
-    """Restrictions at every restriction point, as an ordered {p: Poly} map.
+    """Restrictions at every maximal element, as an ordered {p: Poly} map.
 
     This map is injective on pure posets: distinct normal forms have
     distinct restriction tuples.
     """
     poset = element.ring.poset
-    return {p: restriction_at_vertex(element, p) for p in restriction_points(poset)}
+    return {p: restriction_at_vertex(element, p) for p in poset.maximal_elements()}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from . import linalg
 from .poset import TorusfanError, barycentric_subdivision, max_rank_bound
 
-smith_normal_form = linalg.smith_normal_form
-
 
 class HomologyError(TorusfanError):
     pass
@@ -113,6 +111,7 @@ class HomologyGroups:
         """The same homology over Q (char 0) or GF(char), by universal
         coefficients: over GF(p) each torsion factor divisible by p in
         dimension d adds one to the Betti numbers of dimensions d and d+1."""
+        char = linalg.check_char(char)
         groups = {}
         for d, (betti, _) in self.groups.items():
             if char:
@@ -132,6 +131,8 @@ def reduced_homology(poset, char=None):
     Smith normal form), 0 for the rationals, a prime p for GF(p); field
     coefficients come from the integral groups (``HomologyGroups.over``).
     """
+    if char is not None:  # refused before the Smith normal form work
+        linalg.check_char(char)
     cx = cell_chain_complex(poset)
     dims = cx.dims()
     if not dims or dims[0] == 0:
@@ -177,7 +178,7 @@ def link_verdicts(poset, chars=(0, 2, 3, 5)):
     needs every link (including the link of the least element) to have
     vanishing reduced homology below its top dimension, char 0 being the
     rationals; the torsion verdict needs torsion-free integral homology."""
-    witnesses = {char: [] for char in chars}
+    witnesses = {linalg.check_char(char): [] for char in chars}
     torsion = []
     for x, d, hom in _links(poset):
         named = poset.cell(x).named()

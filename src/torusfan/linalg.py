@@ -1,6 +1,10 @@
 """Exact linear algebra: Smith normal form, spans and ranks over Q and GF(p).
 
-Matrices are lists of equal-length lists of Python ints.  One sparse
+Matrices are lists of equal-length lists of Python ints.  A field is named
+by its characteristic: 0 for Q, a prime p for GF(p); ``check_char`` is the
+one place that decides which values are valid, and every entry point of
+the package that takes a ``char`` calls it (where the integers are
+allowed, None stands for them and is not passed to it).  One sparse
 kernel eliminates: rows are {column: value} dicts, and a ``Span`` inserts
 them one at a time into an echelon form keyed by leading column, over
 GF(p) or fraction-free over the integers; ``rank`` and
@@ -12,8 +16,23 @@ Dumas-Saunders-Villard, JSC 2001).
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 from operator import index
+
+
+def check_char(char):
+    """Return ``char`` if it is 0 or a prime; raise ValueError otherwise.
+
+    >>> check_char(3)
+    3
+    """
+    try:
+        c = index(char)
+    except TypeError:
+        c = -1
+    if c and (c < 2 or any(c % d == 0 for d in range(2, isqrt(c) + 1))):
+        raise ValueError(f"characteristic {char!r} is neither 0 nor prime")
+    return c
 
 
 def _sparse(mat):
@@ -60,7 +79,7 @@ class Span:
     """
 
     def __init__(self, char=0):
-        self.char = char
+        self.char = check_char(char)
         self.rows = {}
 
     @property

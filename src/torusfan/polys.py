@@ -7,8 +7,6 @@ coefficients are ints or Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class Poly:
     __slots__ = ("nvars", "coeffs")
@@ -29,12 +27,6 @@ class Poly:
     @classmethod
     def const(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: c} if c else None)
-
-    @classmethod
-    def variable(cls, nvars, j):
-        e = [0] * nvars
-        e[j] = 1
-        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def linear(cls, vector):
@@ -152,33 +144,6 @@ def restrict_to_hyperplane(poly, alpha):
         rest = tuple(v if i != j else 0 for i, v in enumerate(e))
         term = Poly(n, {rest: c * aj ** (sum(e) - e[j])})
         out = out + term * repl ** e[j]
-    return out
-
-
-def divide_by_linear(poly, alpha):
-    """Exact quotient poly / (linear form alpha), or None if not divisible."""
-    n = poly.nvars
-    j = next((i for i, c in enumerate(alpha) if c), -1)
-    if j < 0:
-        raise ValueError("zero linear form")
-    rem = Poly(n)
-    rem.coeffs = {e: Fraction(c) for e, c in poly.coeffs.items()}
-    quot = Poly.zero(n)
-    aj = Fraction(alpha[j])
-    while not rem.is_zero():
-        # peel off the term with the highest t_j power
-        e = max(rem.coeffs, key=lambda m: (m[j], m))
-        if e[j] == 0:
-            return None
-        c = rem.coeffs[e] / aj
-        qe = list(e)
-        qe[j] -= 1
-        qterm = Poly(n, {tuple(qe): c})
-        quot = quot + qterm
-        rem = rem - qterm * Poly.linear(alpha)
-    out = Poly(n)
-    out.coeffs = {e: (int(c) if isinstance(c, Fraction) and c.denominator == 1 else c)
-                  for e, c in quot.coeffs.items()}
     return out
 
 

@@ -18,6 +18,7 @@ characteristic map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .charfun import find_characteristic_map
 from .cohomology import dehn_sommerville_check
@@ -48,7 +49,10 @@ class HVectorTarget:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        entries = tuple(int(x) for x in entries)
+        try:
+            entries = tuple(index(x) for x in entries)
+        except TypeError:
+            raise MalformedTargetError(["entries must be integers"]) from None
         reasons = []
         n = len(entries) - 1
         if n < 1:

@@ -2,18 +2,39 @@
 restriction algebra."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from torusfan.charfun import (CharacteristicMap, GKMError, build_gkm_graph,
                               check_unimodular, divisibility_check,
                               face_ring_to_gkm, find_characteristic_map,
-                              gkm_subalgebra_dimension, restriction_tuple_matrix,
-                              thom_class_restriction, tuple_degree)
+                              gkm_subalgebra_dimension, thom_class_restriction,
+                              tuple_degree)
 from torusfan.facering import FaceRing, chain_monomial_basis, graded_dimension
-from torusfan.linalg import rank
-from torusfan.polys import Poly, divide_by_linear
+from torusfan.linalg import Span
+from torusfan.polys import Poly
 from torusfan.poset import simplex_boundary, sphere_poset, sphere_product_poset
+
+
+def divide_by_linear(poly, alpha):
+    """Exact quotient poly / (linear form alpha), or None if not divisible:
+    the long-division oracle for the hyperplane-restriction test."""
+    n = poly.nvars
+    j = next(i for i, c in enumerate(alpha) if c)
+    rem = Poly(n, {e: Fraction(c) for e, c in poly.coeffs.items()})
+    quot = Poly.zero(n)
+    while not rem.is_zero():
+        # peel off the term with the highest t_j power
+        e = max(rem.coeffs, key=lambda m: (m[j], m))
+        if e[j] == 0:
+            return None
+        qe = list(e)
+        qe[j] -= 1
+        qterm = Poly(n, {tuple(qe): rem.coeffs[e] / Fraction(alpha[j])})
+        quot = quot + qterm
+        rem = rem - qterm * Poly.linear(alpha)
+    return quot
 
 
 def cp2_chi():
@@ -55,6 +76,16 @@ def test_non_primitive_vector_reported():
         CharacteristicMap(1, {1: (1,), 2: (2,)})
     with pytest.raises(GKMError):
         CharacteristicMap(2, {1: (0, 0)})
+
+
+def test_non_integer_entries_reported():
+    p = simplex_boundary(2)
+    ok, violations = check_unimodular(p, {1: [1.2, 0], 2: ["0", 1], 3: [-1, -1]})
+    assert not ok
+    assert violations == ["vector for 1 has non-integer entries: [1.2, 0]",
+                          "vector for 2 has non-integer entries: ['0', 1]"]
+    with pytest.raises(GKMError, match="non-integer"):
+        CharacteristicMap(2, {1: (1, 0), 2: (0, 1.5), 3: (-1, -1)})
 
 
 def test_non_unimodular_pair_reported(s4_poset):
@@ -315,8 +346,12 @@ def test_phi_injective_and_image_fills_subalgebra():
         ring = FaceRing(p)
         for k in range(4):
             basis = [ring.element([(m, 1)]) for m in chain_monomial_basis(p, k)]
-            mat = restriction_tuple_matrix(g, basis)
-            image_rank = rank(mat, 0) if mat and mat[0] else (1 if basis else 0)
+            columns, image = {}, Span(0)
+            for a in basis:
+                image.add({columns.setdefault((v, m), len(columns)): c
+                           for v, poly in face_ring_to_gkm(g, a).items()
+                           for m, c in poly.coeffs.items()})
+            image_rank = image.rank
             assert image_rank == len(basis)  # injective in this degree
             assert image_rank == gkm_subalgebra_dimension(g, k)
 

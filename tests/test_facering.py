@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from torusfan.facering import (Domain, FaceRing, RingError, chain_monomial,
+from torusfan.facering import (FaceRing, RingError, chain_monomial,
                                chain_monomial_basis, format_element,
                                graded_dimension, hilbert_check,
                                lsop_from_lambda, monomial_degree, parse_element,
                                restriction_at_vertex, series_coefficient,
                                straighten_product, total_restriction)
 from torusfan.charfun import CharacteristicMap
-from torusfan.poset import simplex_boundary, sphere_poset, sphere_product_poset
+from torusfan.poset import (Cell, SimplicialPoset, simplex_boundary, sphere_poset,
+                            sphere_product_poset)
 from conftest import builder_family
 
 
@@ -65,7 +66,7 @@ def test_square_of_sum(s4_poset):
 
 
 def test_square_of_sum_mod_two(s4_poset):
-    ring = FaceRing(s4_poset, Domain.prime_field(2))
+    ring = FaceRing(s4_poset, 2)
     out = (ring.gen(1) + ring.gen(2)) ** 2
     assert out == ring.element([([(1, 2)], 1), ([(2, 2)], 1)])
 
@@ -171,7 +172,7 @@ def test_chain_monomial_rejects_non_chains(s4_poset):
 
 def test_domain_mismatch_rejected(s4_poset):
     a = FaceRing(s4_poset).gen(1)
-    b = FaceRing(s4_poset, Domain.rationals()).gen(1)
+    b = FaceRing(s4_poset, 0).gen(1)
     with pytest.raises(RingError):
         a + b
 
@@ -211,6 +212,17 @@ def test_total_restriction_components(s4_poset):
     assert str(out[3]) == "1*t1*t2" and out[4].is_zero()
     zero = total_restriction(ring.zero())
     assert all(poly.is_zero() for poly in zero.values())
+
+
+def test_total_restriction_on_a_non_pure_poset():
+    # an edge and an isolated vertex: both are maximal, only the edge is top
+    p = SimplicialPoset(2, [Cell(0, 0, ()), Cell(1, 1, (0,)), Cell(2, 1, (0,)),
+                            Cell(3, 1, (0,)), Cell(4, 2, (1, 2))])
+    ring = FaceRing(p)
+    out = total_restriction(ring.gen(3) + ring.gen(1))
+    assert list(out) == [3, 4]
+    assert str(out[3]) == "1*t1" and str(out[4]) == "1*t1"
+    assert str(restriction_at_vertex(ring.gen(3), 3)) == "1*t1"
 
 
 def test_restriction_is_ring_hom():
@@ -348,18 +360,65 @@ def test_format_canonical_order(s4_poset):
 def test_format_parse_round_trip():
     rng = random.Random(9)
     for poset in (sphere_poset(2), simplex_boundary(2)):
-        for domain in (Domain.integers(), Domain.rationals()):
-            ring = FaceRing(poset, domain)
+        for char in (None, 0):
+            ring = FaceRing(poset, char)
             for _ in range(10):
                 a = _random_element(ring, rng)
                 assert parse_element(ring, format_element(a)) == a
 
 
 def test_parse_fraction_coefficients(s4_poset):
-    ring = FaceRing(s4_poset, Domain.rationals())
+    ring = FaceRing(s4_poset, 0)
     a = parse_element(ring, "1/2 * x1 + -3 * x3")
     assert a.terms[((1, 1),)] == Fraction(1, 2)
     assert a.terms[((3, 1),)] == -3
+
+
+def test_parse_over_prime_field_is_exact():
+    ring = FaceRing(sphere_poset(2), 3)
+    a = parse_element(ring, "1/2 * x1 + 3/2 * x2")
+    assert format_element(a) == "2 * x1"
+    with pytest.raises(RingError):
+        parse_element(ring, "1/3 * x1")
+
+
+def test_coefficients_are_never_truncated(s4_poset):
+    ring = FaceRing(s4_poset)
+    with pytest.raises(TypeError):
+        ring.gen(1).scale(0.5)
+    with pytest.raises(TypeError):
+        ring.gen(1) * 2.7
+    with pytest.raises(RingError):
+        ring.gen(1) * Fraction(1, 2)
+    assert ring.gen(1) * Fraction(4, 2) == ring.gen(1) + ring.gen(1)
+    assert FaceRing(s4_poset, 5).gen(1) * Fraction(1, 2) == \
+        FaceRing(s4_poset, 5).gen(1) * 3
+
+
+def _fractional_element(ring, rng, p):
+    """A random element whose coefficients have denominators prime to p."""
+    dens = [d for d in range(1, 8) if d % p]
+    return sum((_random_element(ring, rng, max_terms=2, max_exp=2)
+                * Fraction(1, rng.choice(dens)) for _ in range(2)), ring.zero())
+
+
+def test_reduction_mod_p_commutes_with_ring_operations():
+    rng = random.Random(11)
+    for name, poset in builder_family(3).items():
+        over_z, over_q = FaceRing(poset), FaceRing(poset, 0)
+        for p in (2, 3, 5):
+            over_p = FaceRing(poset, p)
+
+            def reduce(a):
+                return parse_element(over_p, format_element(a))
+
+            pairs = [[_random_element(over_z, rng, max_exp=2) for _ in "ab"]
+                     for _ in range(3)]
+            pairs += [[_fractional_element(over_q, rng, p) for _ in "ab"]
+                      for _ in range(3)]
+            for a, b in pairs:
+                assert reduce(a + b) == reduce(a) + reduce(b), (name, p)
+                assert reduce(a * b) == reduce(a) * reduce(b), (name, p)
 
 
 def test_format_zero(s4_poset):

@@ -10,7 +10,8 @@ from torusfan.homology import (HomologyError, _check_square_zero,
                                cohen_macaulay, euler_sphere_check,
                                gorenstein_star, gorenstein_star_subdivided,
                                link_verdicts, pseudomanifold, reduced_homology,
-                               smith_normal_form, torsion_free_links)
+                               torsion_free_links)
+from torusfan.linalg import smith_normal_form
 from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
                             join, simplex_boundary, simplex_poset, sphere_poset,
                             sphere_product_poset, stellar_subdivision)

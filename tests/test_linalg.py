@@ -10,7 +10,9 @@ from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
 import dense_linalg
-from torusfan import linalg
+from torusfan import cohomology, homology, linalg
+from torusfan.charfun import find_characteristic_map
+from torusfan.facering import FaceRing
 from torusfan.homology import cell_chain_complex
 from torusfan.poset import barycentric_subdivision, simplex_boundary
 from conftest import builder_family
@@ -210,6 +212,24 @@ def test_inputs_are_not_modified():
         span.add(row)
         span.reduce(row)
     assert mat == copy and rows == [dict(enumerate(row)) for row in copy]
+
+
+@pytest.mark.parametrize("char", [1, 4, 6, -3])
+def test_non_prime_characteristic_refused_everywhere(char):
+    p = simplex_boundary(2)
+    chi = find_characteristic_map(p, 1)
+    calls = (lambda: linalg.Span(char), lambda: linalg.rank([[1]], char),
+             lambda: cohomology.quotient_dimensions(p, chi, char),
+             lambda: cohomology.betti_numbers(p, chi, char),
+             lambda: cohomology.graded_quotient_basis(p, chi, char),
+             lambda: FaceRing(p, char),
+             lambda: homology.reduced_homology(p, char),
+             lambda: homology.reduced_homology(p).over(char),
+             lambda: homology.link_verdicts(p, (0, char)),
+             lambda: homology.cohen_macaulay(p, (char,)))
+    for call in calls:
+        with pytest.raises(ValueError, match="neither 0 nor prime"):
+            call()
 
 
 def test_doctests():

@@ -138,6 +138,14 @@ def test_realize_refusals():
     assert isinstance(out, Refusal) and out.stage == MALFORMED
 
 
+def test_non_integer_entries_are_malformed():
+    out = realize_with_lambda([1, 2.5, 1])
+    assert isinstance(out, Refusal) and out.stage == MALFORMED
+    assert out.detail == "entries must be integers"
+    assert classify([1, 2.5, 1]) == (MALFORMED, ["entries must be integers"])
+    assert classify([1, "2", 1])[0] == MALFORMED
+
+
 def test_realized_posets_pass_all_verdicts():
     for entries in ([1, 1], [1, 3, 1], [1, 1, 1, 1], [1, 2, 2, 2, 1]):
         result = realize_with_lambda(entries)
