@@ -3,6 +3,14 @@
 A characteristic map assigns a primitive integer n-vector to every rank-1
 element.  It is unimodular when, for every element x, the vectors on the
 vertices of x extend to a lattice basis (all Smith invariant factors 1).
+``check_unimodular`` tests every element by Smith normal form, so that a
+violation can name its invariant factors.  ``find_characteristic_map``
+tests only the prefix faces of the maximal elements (the atoms of each,
+in id order, up to the vertex being assigned): every element lies below
+one, and a subset of vectors that extend to a basis extends too, so the
+lexicographically first map is the one a test at every element gives.
+A prefix's vectors extend to a basis together with c iff gcd(Q c) = 1,
+where Q maps Z^n onto Z^n modulo their span (``quotient_step``).
 
 The 1-skeleton of the dual orbit space is the GKM graph: its vertices are
 the top cells, its edges the rank n-1 elements lying below exactly two
@@ -14,8 +22,9 @@ vector pairing to 1 with the vector of v and to 0 with the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
-from operator import index
+from operator import index, mul
 
 from . import linalg
 from .poset import TorusfanError
@@ -112,21 +121,33 @@ def check_unimodular(poset, chi):
     return not violations, violations
 
 
-def _primitive_candidates(n, bound):
-    """All primitive vectors with coordinates in [-bound, bound], in
-    lexicographic order."""
-    out = []
+def quotient_step(rows, vec):
+    """The quotient map by one more vector, formed by gcd row steps.
 
-    def rec(prefix):
-        if len(prefix) == n:
-            if _is_primitive(prefix):
-                out.append(tuple(prefix))
-            return
-        for c in range(-bound, bound + 1):
-            rec(prefix + [c])
+    ``rows`` is an r x n integer matrix Q that maps Z^n onto Z^r.  When
+    Q vec is primitive, the result is an (r-1) x n matrix that maps Z^n
+    onto Z^r / <Q vec>, so its kernel is the kernel of Q plus the span of
+    ``vec``; otherwise ValueError.
 
-    rec([])
-    return out
+    >>> quotient_step([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (2, 3, 0))
+    [[3, -2, 0], [0, 0, 1]]
+    """
+    rows = [list(r) for r in rows]
+    w = [sum(map(mul, r, vec)) for r in rows]
+    while True:
+        live = [i for i, x in enumerate(w) if x]
+        if len(live) < 2:
+            break
+        j = min(live, key=lambda i: abs(w[i]))
+        for i in live:
+            if i != j:
+                q = w[i] // w[j]
+                w[i] -= q * w[j]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+    if not live or abs(w[live[0]]) != 1:
+        raise ValueError(f"the image of {tuple(vec)} is not primitive")
+    del rows[live[0]]
+    return rows
 
 
 def find_characteristic_map(poset, bound):
@@ -135,45 +156,61 @@ def find_characteristic_map(poset, bound):
     Vertices are processed in id order and candidate vectors in
     lexicographic order, so the result is the lexicographically first
     solution; returns None when the bound admits none.
+
+    At vertex v only the prefix faces are checked: for each maximal
+    element, the face spanned by its atoms up to v.  Every element whose
+    last atom is v lies below such a prefix (the lower interval of a cell
+    is boolean), and vectors that extend to a lattice basis have every
+    subset extend too, so a candidate passes exactly when every element
+    it completes is unimodular, and the search path and its result are
+    those of a check at every cell.  Each prefix that later vertices
+    extend keeps a matrix Q mapping Z^n onto Z^n / span(its vectors),
+    rebuilt by ``quotient_step`` whenever its last vertex takes a vector;
+    a candidate c passes a prefix iff gcd(Q c) = 1.
     """
-    vertices = sorted(poset.vertices())
-    n = poset.rank
     if bound < 1:
         return None
-    candidates = _primitive_candidates(n, bound)
-    # for pruning: elements whose vertex set is complete once v is assigned
+    n = poset.rank
+    vertices = sorted(poset.vertices())
     position = {v: i for i, v in enumerate(vertices)}
-    triggers = {v: [] for v in vertices}
-    for x in poset.elements():
-        if poset.rank_of(x) >= 2:
-            last = max(poset.atoms(x), key=lambda v: position[v])
-            triggers[last].append(x)
-    assign = {}
-    snf_cache = {}
+    # checks[i]: the atoms before vertex i of each prefix face ending there;
+    # builds[i]: the prefixes ending at vertex i that a later vertex extends
+    checks = [set() for _ in vertices]
+    builds = [set() for _ in vertices]
+    for m in poset.maximal_elements():
+        atoms = tuple(sorted(poset.atoms(m)))
+        for k in range(1, len(atoms)):
+            checks[position[atoms[k]]].add(atoms[:k])
+            builds[position[atoms[k - 1]]].add(atoms[:k])
+    quotient = {(): [[int(i == j) for j in range(n)] for i in range(n)]}
 
-    def unimodular_at(x):
-        mat = tuple(assign[v] for v in sorted(poset.atoms(x)))
-        hit = snf_cache.get(mat)
-        if hit is None:
-            factors, rank = linalg.smith_normal_form([list(r) for r in mat])
-            hit = rank == len(mat) and all(f == 1 for f in factors)
-            snf_cache[mat] = hit
-        return hit
+    def candidates(i):
+        lattice = product(range(-bound, bound + 1), repeat=n)
+        if not checks[i]:
+            return filter(_is_primitive, lattice)
+        maps = [quotient[p] for p in checks[i]]
+        return (c for c in lattice
+                if all(gcd(*[sum(map(mul, r, c)) for r in q]) == 1
+                       for q in maps))
 
-    def search(i):
-        if i == len(vertices):
-            return True
-        v = vertices[i]
-        for cand in candidates:
-            assign[v] = cand
-            if all(unimodular_at(x) for x in triggers[v]) and search(i + 1):
-                return True
-        del assign[v]
-        return False
-
-    if not search(0):
+    assign = [None] * len(vertices)
+    pending = [None] * len(vertices)
+    i = 0
+    while 0 <= i < len(vertices):
+        if pending[i] is None:
+            pending[i] = candidates(i)
+        c = next(pending[i], None)
+        if c is None:
+            pending[i] = None
+            i -= 1
+            continue
+        assign[i] = c
+        for p in builds[i]:
+            quotient[p] = quotient_step(quotient[p[:-1]], c)
+        i += 1
+    if i < 0:
         return None
-    return CharacteristicMap(n, dict(assign))
+    return CharacteristicMap(n, dict(zip(vertices, assign)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,23 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises InputError where argparse would print
+    usage text on stderr and exit, so a malformed command line is reported
+    like any other malformed input."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _int_list(text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -326,7 +343,7 @@ def _common_flags(parser, suppress):
 
 
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="torusfan",
         description="Face rings, homology and GKM data of simplicial posets.")
     _common_flags(top, suppress=False)
@@ -368,8 +385,7 @@ def _build_parser():
 
     p = add("cm-check", _cmd_cm_check)
     p.add_argument("poset")
-    p.add_argument("--fields", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[0, 2, 3, 5])
+    p.add_argument("--fields", type=_int_list, default=[0, 2, 3, 5])
 
     p = add("gorenstein-check", _cmd_gorenstein_check)
     p.add_argument("poset")
@@ -416,8 +432,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except InputError as err:
+        sys.stdout.write(_render({"error": str(err)}, "json"))
+        return BAD_INPUT
     try:
         try:
             poset_mod.max_rank_bound()

@@ -16,21 +16,55 @@ Dumas-Saunders-Villard, JSC 2001).
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from operator import index
 
 
-def check_char(char):
-    """Return ``char`` if it is 0 or a prime; raise ValueError otherwise.
+# Miller-Rabin with these bases decides primality exactly below the limit
+# (Sorenson-Webster, Math. Comp. 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
 
-    >>> check_char(3)
-    3
+
+def _is_prime(c):
+    """Deterministic Miller-Rabin for 0 <= c < PRIME_TEST_LIMIT."""
+    if c < 2:
+        return False
+    for a in _PRIME_BASES:
+        if c % a == 0:
+            return c == a
+    d, s = c - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, c)
+        if x == 1 or x == c - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % c
+            if x == c - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_char(char):
+    """Return ``char`` if it is 0 or a prime; raise ValueError otherwise,
+    and for values from PRIME_TEST_LIMIT up, where primality is not
+    decided exactly.
+
+    >>> check_char(3), check_char(2 ** 61 - 1)
+    (3, 2305843009213693951)
     """
     try:
         c = index(char)
     except TypeError:
         c = -1
-    if c and (c < 2 or any(c % d == 0 for d in range(2, isqrt(c) + 1))):
+    if c >= PRIME_TEST_LIMIT:
+        raise ValueError(f"characteristic {char!r} is not below the limit "
+                         f"{PRIME_TEST_LIMIT} of the primality test")
+    if c and not _is_prime(c):
         raise ValueError(f"characteristic {char!r} is neither 0 nor prime")
     return c
 

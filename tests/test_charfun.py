@@ -1,10 +1,14 @@
 """Unimodularity, the characteristic-map search, GKM graphs and the
 restriction algebra."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import search_oracle
 
 from torusfan.charfun import (CharacteristicMap, GKMError, build_gkm_graph,
                               check_unimodular, divisibility_check,
@@ -14,7 +18,11 @@ from torusfan.charfun import (CharacteristicMap, GKMError, build_gkm_graph,
 from torusfan.facering import FaceRing, chain_monomial_basis, graded_dimension
 from torusfan.linalg import Span
 from torusfan.polys import Poly
-from torusfan.poset import simplex_boundary, sphere_poset, sphere_product_poset
+from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
+                            simplex_boundary, sphere_poset, sphere_product_poset)
+from torusfan.realize import (INADMISSIBLE, HVectorTarget, admissible,
+                              realize_with_lambda)
+from conftest import builder_family, random_surgery
 
 
 def divide_by_linear(poly, alpha):
@@ -135,6 +143,94 @@ def test_find_bound_zero_returns_none():
 def test_find_is_deterministic():
     p = sphere_product_poset(1, 1)
     assert find_characteristic_map(p, 1) == find_characteristic_map(p, 1)
+
+
+# ---------------------------------------------------------------------------
+# the search against the Smith-normal-form-per-cell oracle
+
+
+def _pool_targets():
+    """Every admissible palindromic (1, h_1, ..., h_{n-1}, 1), n in 2..5,
+    with entries at most 4."""
+    out = []
+    for n in range(2, 6):
+        for half in itertools.product(range(5), repeat=n // 2):
+            h = [1, *half, *reversed(half[: (n - 1) // 2]), 1]
+            if admissible(HVectorTarget(h)) != INADMISSIBLE:
+                out.append(h)
+    return out
+
+
+def _relabel(p, rng):
+    """p with its cell ids permuted at random, so vertices meet the search
+    in another order."""
+    ids = sorted(p.cells)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    return SimplicialPoset(p.rank, [
+        Cell(new[c.id], c.rank, tuple(sorted(new[d] for d in c.covers)),
+             c.label) for c in p.cells.values()])
+
+
+def _non_pure():
+    """A triangle, an edge hanging off one of its vertices and an isolated
+    vertex: maximal elements of ranks 3, 2 and 1."""
+    faces = [(), (1,), (2,), (3,), (4,), (5,), (1, 2), (1, 3), (2, 3), (3, 4),
+             (1, 2, 3)]
+    ids = {f: i for i, f in enumerate(faces)}
+    return SimplicialPoset(3, [
+        Cell(ids[f], len(f), tuple(sorted(
+            ids[g] for g in itertools.combinations(f, len(f) - 1))) if f else ())
+        for f in faces])
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_search_matches_oracle_on_builders(bound):
+    for name, p in builder_family(4).items():
+        assert (find_characteristic_map(p, bound)
+                == search_oracle.find_characteristic_map(p, bound)), name
+
+
+def test_search_matches_oracle_on_realize_pool():
+    targets = _pool_targets()
+    assert len(targets) == 58
+    for h in targets:
+        result = realize_with_lambda(h)
+        assert result.chi == search_oracle.find_characteristic_map(
+            result.poset, 2), h
+
+
+def test_search_matches_oracle_on_shared_atom_sets_and_non_pure():
+    for p in [sphere_poset(n) for n in (1, 2, 3, 4)] + [_non_pure()]:
+        for bound in (0, 1, 2):
+            assert (find_characteristic_map(p, bound)
+                    == search_oracle.find_characteristic_map(p, bound))
+    chi = find_characteristic_map(_non_pure(), 1)
+    assert chi is not None and check_unimodular(_non_pure(), chi)[0]
+
+
+def test_search_matches_oracle_after_backtracking():
+    # the realize pool never backtracks; relabelled subdivisions do, so
+    # these cases rebuild quotient maps after the search goes back
+    base = barycentric_subdivision(simplex_boundary(3))
+    backtracked = 0
+    for seed in range(30):
+        p = _relabel(base, random.Random(seed))
+        stats = {}
+        expected = search_oracle.find_characteristic_map(p, 1, stats)
+        assert find_characteristic_map(p, 1) == expected, seed
+        backtracked += stats["backtracks"] > 0
+    assert backtracked >= 5
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["join", "connected_sum", "stellar", "barycentric"]))
+def test_found_maps_are_unimodular(seed, op):
+    p = random_surgery(random.Random(seed), op)
+    chi = find_characteristic_map(p, 1)
+    if chi is not None:
+        ok, violations = check_unimodular(p, chi)
+        assert ok, violations
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every cell field of the poset JSON, every covers entry, the top-level
 ``rank`` and ``cells``, the characteristic-map keys, vectors and entries,
 and the ``--matching`` files are mutated in turn and fed to the
-subcommands that read them.  Each call must exit 0, 1 or 2, print exactly
-one JSON object and raise nothing.
+subcommands that read them; so are the values of every flag that takes a
+number.  Each call must exit 0, 1 or 2, print exactly one JSON object,
+write nothing on stderr and raise nothing.
 """
 
 import contextlib
@@ -22,6 +23,8 @@ MUTANTS = (None, True, False, -1, 0, 1, 2, 7, 10 ** 20, 1.5, -0.0, "1", "",
 BASES = {"sphere2": to_json_dict(sphere_poset(2)),
          "sb2": to_json_dict(simplex_boundary(2))}
 CHI = {"1": [1, 0], "2": [0, 1], "3": [-1, -1]}
+FLAG_MUTANTS = ("x", "", "1.5", "2,x", "0x3", "1e2", "nan", ",", "3,", " ",
+                "-", "--", "-1", "0", "4", "7", "2,3", "0,4", "\u0663")
 
 
 def _call(argv):
@@ -173,4 +176,30 @@ def test_mutated_matchings_and_targets(files):
         target = ",".join(rng.choice(("1", "1", "0", "2", "-1", "2.5", "x", "", " 1"))
                           for _ in range(rng.randint(1, 4)))
         problems += _call(["realize", "--target", target])
+    assert not problems, problems[:5]
+
+
+def _flag_forms(p, chi):
+    """(argv before the value, argv after it) for every flag that takes a
+    number, each in a subcommand that reads it."""
+    return [(["homology", p, "--char"], []), (["cm-check", p, "--fields"], []),
+            (["charfun-find", p, "--bound"], []),
+            (["realize", "--target", "1,1,1", "--bound"], []),
+            (["gkm-report", p, chi, "--dmax"], []),
+            (["hilbert-check", p, "--dmax"], []),
+            (["poset-subdivide", "stellar", p, "--cell"], []),
+            (["poset-connectsum", p, p, "--tops"], ["4"]),
+            (["poset-connectsum", p, p, "--tops", "4"], []),
+            (["betti", p, chi, "--field"], []),
+            (["poset-hvector", p, "--seed"], []),
+            (["--seed"], ["poset-hvector", p])]
+
+
+def test_mutated_flag_values(files):
+    _, good, chi = files
+    rng = random.Random(4)
+    problems = []
+    for before, after in _flag_forms(good, chi):
+        for value in rng.sample(FLAG_MUTANTS, 8):
+            problems += _call(before + [value] + after)
     assert not problems, problems[:5]

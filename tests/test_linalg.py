@@ -3,7 +3,9 @@ dense oracles in dense_linalg.py and against sympy."""
 
 import doctest
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from sympy import ZZ, Matrix
@@ -230,6 +232,32 @@ def test_non_prime_characteristic_refused_everywhere(char):
     for call in calls:
         with pytest.raises(ValueError, match="neither 0 nor prime"):
             call()
+
+
+def _prime_by_trial_division(c):
+    return c >= 2 and all(c % d for d in range(2, isqrt(c) + 1))
+
+
+def test_check_char_agrees_with_trial_division():
+    for c in range(10 ** 5):
+        try:
+            accepted = linalg.check_char(c) == c
+        except ValueError:
+            accepted = False
+        assert accepted == (c == 0 or _prime_by_trial_division(c)), c
+
+
+def test_check_char_on_large_values():
+    t0 = time.perf_counter()
+    assert linalg.check_char(2 ** 61 - 1) == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 1
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    for c in (561, 3215031751):
+        with pytest.raises(ValueError, match="neither 0 nor prime"):
+            linalg.check_char(c)
+    for c in (linalg.PRIME_TEST_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(linalg.PRIME_TEST_LIMIT)):
+            linalg.check_char(c)
 
 
 def test_doctests():
