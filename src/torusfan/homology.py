@@ -10,7 +10,23 @@ boundary of a cell is the signed sum of its covered cells, the sign of a
 cover being determined by the position of the omitted vertex in the
 sorted vertex list of the cell; lower segments are boolean, so the
 omitted vertex is well defined and the usual simplicial sign identity
-gives boundary-of-boundary zero (checked at construction).
+gives boundary-of-boundary zero.  ``_signed_boundary`` builds this map
+once per poset and checks d^2 = 0 on it once.
+
+Links are restrictions of that one map; no link poset and no dense
+matrix is built.  The reduced chain complex of link(x) is the signed
+boundary restricted to the elements y >= x, y of rank r taken as a cell
+of dimension r - rank(x) - 1 and x as the empty cell.  d^2 = 0 survives
+the restriction, because every face between y >= x and w >= x is >= x.
+The link's own signs (the vertices of y in the link are the elements
+x < z <= y of rank rank(x) + 1, sorted by id) differ from the restricted
+ones by a coboundary: the sign of y covering y' in the link times the
+restricted one is eps(y) eps(y'), where eps(y) is
+(-1)^(sum over the atoms w of y not below x of #{atoms u of x : u < w})
+times the sign of the permutation between the link vertices of y sorted
+by id and sorted by their atom w.  So each boundary matrix changes only
+by +-1 scalings of rows and columns, which keep ranks and invariant
+factors.
 """
 
 from __future__ import annotations
@@ -38,47 +54,47 @@ class ChainComplex:
         return tuple(len(c) for c in self.cells)
 
 
+def _signed_boundary(poset):
+    """{x: {y: sign}} over the elements x and the elements y that x covers
+    (the least element maps to {}), d^2 = 0 checked once."""
+    boundary = {}
+    for x in poset.elements():
+        atoms = poset.atoms(x)
+        position = {v: i for i, v in enumerate(sorted(atoms))}
+        col = boundary[x] = {}
+        for y in poset.covers(x):
+            (v,) = atoms - poset.atoms(y)
+            col[y] = -1 if position[v] % 2 else 1
+    _check_square_zero(boundary)
+    return boundary
+
+
+def _check_square_zero(boundary):
+    """Raise unless the boundary of the boundary of every cell is zero."""
+    for col in boundary.values():
+        image = {}
+        for y, a in col.items():
+            for w, b in boundary[y].items():
+                image[w] = image.get(w, 0) + a * b
+        if any(image.values()):
+            raise HomologyError("boundary of boundary is nonzero")
+
+
 def cell_chain_complex(poset):
     """Reduced chain complex of the simplicial cell complex of the poset."""
+    boundary = _signed_boundary(poset)
     n = poset.rank
     cells = [tuple(poset.by_rank(d + 1)) for d in range(n)]
     boundaries = []
-    columns = []  # columns[d][j] = {row index: sign}, the sparse boundaries[d]
     for d in range(n):
-        cols = cells[d]
-        if d == 0:
-            boundaries.append([[1] * len(cols)])
-            columns.append([{0: 1}] * len(cols))
-            continue
-        rows = cells[d - 1]
-        row_index = {x: i for i, x in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
-        columns.append([])
-        for j, x in enumerate(cols):
-            verts = sorted(poset.atoms(x))
-            position = {v: i for i, v in enumerate(verts)}
-            col = {}
-            for y in poset.covers(x):
-                (v,) = poset.atoms(x) - poset.atoms(y)
-                i = row_index[y]
-                mat[i][j] = col[i] = (-1) ** position[v]
-            columns[d].append(col)
+        rows = cells[d - 1] if d else (poset.root,)
+        row_index = {y: i for i, y in enumerate(rows)}
+        mat = [[0] * len(cells[d]) for _ in rows]
+        for j, x in enumerate(cells[d]):
+            for y, sign in boundary[x].items():
+                mat[row_index[y]][j] = sign
         boundaries.append(mat)
-    _check_square_zero(columns)
     return ChainComplex(n, tuple(cells), tuple(boundaries))
-
-
-def _check_square_zero(columns):
-    """Raise unless the boundary of every boundary column is zero."""
-    for d in range(1, len(columns)):
-        lower = columns[d - 1]
-        for col in columns[d]:
-            image = {}
-            for k, a in col.items():
-                for i, b in lower[k].items():
-                    image[i] = image.get(i, 0) + a * b
-            if any(image.values()):
-                raise HomologyError("boundary of boundary is nonzero")
 
 
 @dataclass
@@ -133,30 +149,52 @@ def reduced_homology(poset, char=None):
     """
     if char is not None:  # refused before the Smith normal form work
         linalg.check_char(char)
-    cx = cell_chain_complex(poset)
-    dims = cx.dims()
-    if not dims or dims[0] == 0:
-        return HomologyGroups(poset.rank, {-1: (1, ())})
-    ranks = []
-    torsions = []
-    for d in range(cx.rank):
-        factors, r = linalg.smith_normal_form(cx.boundaries[d])
+    integral = _link_homology(poset, _signed_boundary(poset), poset.root,
+                              poset.rank)
+    return integral if char is None else integral.over(char)
+
+
+def _link_homology(poset, boundary, x, n):
+    """Integral reduced homology of the rank-n link of x: the signed
+    boundary restricted to the elements above x, y of rank r being a cell
+    of dimension r - rank_of(x) - 1 and x the empty cell."""
+    up = poset.upset(x)
+    shift = poset.rank_of(x) + 1
+    cells = poset.cells
+    whole = x == poset.root
+    dims = [0] * n
+    rows = [[] for _ in range(n)]  # rows[d]: boundaries of the d-cells, d > 0
+    for y in up:
+        d = cells[y].rank - shift
+        if d >= 0:
+            dims[d] += 1
+            if d:
+                col = boundary[y]
+                rows[d].append(col if whole else
+                               {z: s for z, s in col.items() if z in up})
+    if not dims or not dims[0]:
+        return HomologyGroups(n, {-1: (1, ())})
+    # the boundary of each vertex is +-x: rank 1, no torsion
+    ranks = [1]
+    torsions = [()]
+    for d in range(1, n):
+        factors, r = linalg._snf(rows[d])
         torsions.append(tuple(f for f in factors if f > 1))
         ranks.append(r)
     ranks.append(0)
     torsions.append(())
     groups = {d: (dims[d] - ranks[d] - ranks[d + 1], torsions[d + 1])
-              for d in range(cx.rank)}
-    integral = HomologyGroups(poset.rank, groups)
-    return integral if char is None else integral.over(char)
+              for d in range(n)}
+    return HomologyGroups(n, groups)
 
 
 def _links(poset):
     """(x, dimension of the link of x, its integral reduced homology) for
     every element x, the least element included."""
+    boundary = _signed_boundary(poset)
     for x in poset.elements():
-        link = poset.link(x)
-        yield x, link.rank - 1, reduced_homology(link)
+        n = poset.link_rank(x)
+        yield x, n - 1, _link_homology(poset, boundary, x, n)
 
 
 # ---------------------------------------------------------------------------

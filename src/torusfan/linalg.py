@@ -8,10 +8,11 @@ allowed, None stands for them and is not passed to it).  One sparse
 kernel eliminates: rows are {column: value} dicts, and a ``Span`` inserts
 them one at a time into an echelon form keyed by leading column, over
 GF(p) or fraction-free over the integers; ``rank`` and
-``invert_unimodular`` are built on it.  Smith normal form first removes
-+-1 pivots by unimodular row steps and pivots densely only on the block
-left over (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
-Dumas-Saunders-Villard, JSC 2001).
+``invert_unimodular`` are built on it.  Smith normal form (``_snf`` on
+sparse rows, which the homology code calls directly; ``smith_normal_form``
+on a dense matrix) first removes +-1 pivots by unimodular row steps and
+pivots densely only on the block left over (Kaczynski-Mischaikow-Mrozek,
+Computational Homology, 2004; Dumas-Saunders-Villard, JSC 2001).
 """
 
 from __future__ import annotations
@@ -222,10 +223,16 @@ def smith_normal_form(mat):
     """
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
+    return _snf(_sparse(mat))
+
+
+def _snf(rows):
+    """Invariant factors and rank of the matrix with the given sparse rows
+    {column: int}; columns may be any sortable keys."""
     # A +-1 pivot splits off a factor 1 (row steps clear its column, column
     # steps its row).  Pivot rows miss earlier pivots' columns, so one sweep
     # in pivot order clears a row; a new pivot sends leftover rows back.
-    units, left, todo = {}, [], _sparse(mat)
+    units, left, todo = {}, [], list(rows)
     while todo:
         r = todo.pop()
         for c, q in units.items():

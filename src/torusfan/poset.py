@@ -309,23 +309,33 @@ class SimplicialPoset:
 
     # ----- links -----------------------------------------------------------
 
-    def link(self, x):
-        """The upper set of x, re-ranked so x becomes the least element.
-        Its rank is ``rank - rank_of(x)``, so x must lie below a top cell."""
+    def link_rank(self, x):
+        """The rank ``rank - rank_of(x)`` of the link of x; PosetError
+        unless x lies below a top cell and that rank is within the bound."""
         shift = self.rank_of(x)
-        members = sorted(self._upsets[x])
+        up = self._upsets[x]
+        if up.isdisjoint(self.tops()):
+            top = max(self.cells[y].rank for y in up) - shift
+            raise PosetError([f"link of {self.cell(x).named()}: declared "
+                              f"rank {self.rank - shift} but maximal element "
+                              f"rank is {top}"])
+        problems = _rank_violations(self.rank - shift)
+        if problems:
+            raise PosetError(problems)
+        return self.rank - shift
+
+    def link(self, x):
+        """The upper set of x, re-ranked so x becomes the least element
+        (refused as ``link_rank`` says)."""
+        rank = self.link_rank(x)
+        shift = self.rank_of(x)
         cells = []
-        for y in members:
+        for y in sorted(self._upsets[x]):
             c = self.cells[y]
             covers = (c.covers if c.rank - shift > 0 else ())
             covers = tuple(d for d in covers if self.leq(x, d))
             cells.append(Cell(y, c.rank - shift, covers, c.label))
-        top = max(c.rank for c in cells)
-        if top != self.rank - shift:
-            raise PosetError([f"link of {self.cell(x).named()}: declared "
-                              f"rank {self.rank - shift} but maximal element "
-                              f"rank is {top}"])
-        return SimplicialPoset._trusted(self.rank - shift, cells)
+        return SimplicialPoset._trusted(rank, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ import re
 
 import pytest
 
-from torusfan import cli
-from torusfan.poset import (SimplicialPoset, barycentric_subdivision,
-                            from_json_dict, simplex_boundary, sphere_poset,
-                            to_json_dict)
+from torusfan import cli, homology
+from torusfan.poset import (barycentric_subdivision, from_json_dict,
+                            simplex_boundary, sphere_poset, to_json_dict)
 
 
 @pytest.fixture
@@ -306,13 +305,13 @@ def test_cm_check_takes_each_link_once(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps(to_json_dict(
         barycentric_subdivision(sphere_poset(3)))))
     calls = []
-    link = SimplicialPoset.link
+    link_homology = homology._link_homology
 
-    def counted(self, x):
+    def counted(poset, boundary, x, n):
         calls.append(x)
-        return link(self, x)
+        return link_homology(poset, boundary, x, n)
 
-    monkeypatch.setattr(SimplicialPoset, "link", counted)
+    monkeypatch.setattr(homology, "_link_homology", counted)
     code, report = run(capsys, "cm-check", str(path), "--fields", "2,3")
     p = from_json_dict(json.loads(path.read_text()))
     assert code == 0 and [f["char"] for f in report["fields"]] == [2, 3]

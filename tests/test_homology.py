@@ -1,23 +1,28 @@
 """Chain complexes, Smith normal form, links, CM and Gorenstein* verdicts."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfan.homology import (HomologyError, _check_square_zero,
+from torusfan import homology
+from torusfan.homology import (HomologyError, HomologyGroups,
+                               _check_square_zero, _signed_boundary,
                                cell_chain_complex,
                                cohen_macaulay, euler_sphere_check,
                                gorenstein_star, gorenstein_star_subdivided,
                                link_verdicts, pseudomanifold, reduced_homology,
                                torsion_free_links)
 from torusfan.linalg import smith_normal_form
-from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
-                            join, simplex_boundary, simplex_poset, sphere_poset,
-                            sphere_product_poset, stellar_subdivision)
+from torusfan.poset import (Cell, PosetError, SimplicialPoset,
+                            barycentric_subdivision, join, simplex_boundary,
+                            simplex_poset, sphere_poset, sphere_product_poset,
+                            stellar_subdivision)
 from torusfan.cohomology import dehn_sommerville_check
 from conftest import builder_family, random_surgery
 from dense_linalg import _rank_mod_p, _rank_rational
+from dense_linalg import smith_normal_form as dense_smith_normal_form
 
 
 def _two_points():
@@ -109,16 +114,32 @@ def test_boundary_squares_to_zero():
 
 
 def test_square_zero_check_fires_on_a_flipped_sign():
-    cx = cell_chain_complex(simplex_boundary(3))
-    columns = [[{i: row[j] for i, row in enumerate(mat) if row[j]}
-                for j in range(len(mat[0]))] for mat in cx.boundaries]
-    _check_square_zero(columns)
-    for d in range(len(columns)):
-        i, v = next(iter(columns[d][0].items()))
-        columns[d][0][i] = -v
+    p = simplex_boundary(3)
+    boundary = _signed_boundary(p)
+    _check_square_zero(boundary)
+    for k in range(1, p.rank + 1):
+        col = boundary[p.by_rank(k)[0]]
+        y, v = next(iter(col.items()))
+        col[y] = -v
         with pytest.raises(HomologyError, match="boundary of boundary"):
-            _check_square_zero(columns)
-        columns[d][0][i] = v
+            _check_square_zero(boundary)
+        col[y] = v
+
+
+def test_flipped_sign_fails_gorenstein_star(monkeypatch):
+    # the verdicts read the one checked signed boundary: a sign flipped in
+    # the check's input is refused before any link is taken
+    check = homology._check_square_zero
+
+    def flipped(boundary):
+        col = boundary[max(boundary)]
+        y = next(iter(col))
+        col[y] = -col[y]
+        check(boundary)
+
+    monkeypatch.setattr(homology, "_check_square_zero", flipped)
+    with pytest.raises(HomologyError, match="boundary of boundary"):
+        gorenstein_star(sphere_poset(3))
 
 
 def test_circle_homologies(s4_poset):
@@ -291,15 +312,134 @@ def test_cm_fields_in_one_pass_match_each_field_alone():
 def test_cm_takes_each_link_once(monkeypatch):
     p = projective_plane()
     calls = []
-    link = SimplicialPoset.link
+    link_homology = homology._link_homology
 
-    def counted(self, x):
+    def counted(poset, boundary, x, n):
         calls.append(x)
-        return link(self, x)
+        return link_homology(poset, boundary, x, n)
 
-    monkeypatch.setattr(SimplicialPoset, "link", counted)
+    monkeypatch.setattr(homology, "_link_homology", counted)
     cohen_macaulay(p, (0, 2, 3, 5))
     assert sorted(calls) == sorted(p.elements())
+
+
+def _dense_homology(p):
+    """Reduced integral homology from the dense chain complex of p and the
+    dense Smith normal form oracle."""
+    cx = cell_chain_complex(p)
+    dims = cx.dims()
+    if not dims or dims[0] == 0:
+        return HomologyGroups(p.rank, {-1: (1, ())})
+    snf = [dense_smith_normal_form(m) for m in cx.boundaries] + [([], 0)]
+    return HomologyGroups(p.rank, {
+        d: (n - snf[d][1] - snf[d + 1][1],
+            tuple(f for f in snf[d + 1][0] if f > 1))
+        for d, n in enumerate(dims)})
+
+
+def _assert_links_match_oracle(p):
+    """Every link by restriction equals the oracle on the link poset, and
+    a link that ``link`` refuses is refused with the same message."""
+    links = homology._links(p)
+    for x in p.elements():
+        try:
+            link = p.link(x)
+        except PosetError as err:
+            with pytest.raises(PosetError, match=re.escape(str(err))):
+                next(links)
+            return
+        y, d, hom = next(links)
+        assert (y, d) == (x, link.rank - 1)
+        assert hom.rank == link.rank and hom == _dense_homology(link), x
+    assert next(links, None) is None
+
+
+@pytest.mark.parametrize("name", sorted(builder_family(4)))
+def test_link_homology_by_restriction_matches_link_posets(name):
+    _assert_links_match_oracle(builder_family(4)[name])
+
+
+@pytest.mark.parametrize("make", [
+    projective_plane, moore_space_mod3,
+    lambda: join(projective_plane(), simplex_boundary(1))])
+def test_link_homology_by_restriction_keeps_torsion(make):
+    p = make()
+    _assert_links_match_oracle(p)
+    assert reduced_homology(p) == _dense_homology(p)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_link_homology_by_restriction_on_random_surgery(seed, op):
+    p = random_surgery(random.Random(seed), op)
+    _assert_links_match_oracle(p)
+    assert reduced_homology(p) == _dense_homology(p)
+
+
+def _permutation_sign(seq):
+    inversions = sum(1 for i, a in enumerate(seq) for b in seq[i + 1:] if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def _coboundary(p, x, y):
+    """The sign eps(y) of the module docstring for the link of x."""
+    ax = p.atoms(x)
+    spread = sum(1 for w in p.atoms(y) - ax for u in ax if u < w)
+    vertices = [z for z in p.downset(y) if p.leq(x, z)
+                and p.rank_of(z) == p.rank_of(x) + 1]
+    by_atom = sorted(vertices, key=lambda z: min(p.atoms(z) - ax))
+    return (-1) ** spread * _permutation_sign(by_atom)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_restricted_signs_are_the_link_signs_up_to_a_coboundary(seed, op):
+    p = random_surgery(random.Random(seed), op)
+    boundary = _signed_boundary(p)
+    for x in p.elements():
+        if p.upset(x).isdisjoint(p.tops()):
+            continue
+        own = _signed_boundary(p.link(x))
+        for y in p.upset(x) - {x}:
+            for z in own[y]:
+                assert boundary[y][z] == (own[y][z] * _coboundary(p, x, y)
+                                          * _coboundary(p, x, z)), (x, y, z)
+
+
+def test_link_pass_builds_no_poset_and_no_dense_complex(monkeypatch):
+    p = barycentric_subdivision(sphere_poset(3))
+    calls = []
+    trusted = SimplicialPoset._trusted.__func__
+    init = SimplicialPoset.__init__
+
+    def counted_trusted(cls, rank, cells):
+        calls.append("_trusted")
+        return trusted(cls, rank, cells)
+
+    def counted_init(self, rank, cells):
+        calls.append("__init__")
+        init(self, rank, cells)
+
+    def counted_complex(poset):
+        calls.append("cell_chain_complex")
+        return cell_chain_complex(poset)
+
+    monkeypatch.setattr(SimplicialPoset, "_trusted",
+                        classmethod(counted_trusted))
+    monkeypatch.setattr(SimplicialPoset, "__init__", counted_init)
+    monkeypatch.setattr(homology, "cell_chain_complex", counted_complex)
+    assert gorenstein_star(p).ok
+    fields, torsion = link_verdicts(p, (0, 2, 3))
+    assert all(fields.values()) and torsion.ok
+    assert reduced_homology(p).is_sphere(2)
+    assert calls == []
+    # the counters are live: the link poset goes through the trusted path
+    p.link(p.root)
+    assert calls == ["_trusted"]
 
 
 def test_link_verdicts_name_every_failing_link():
