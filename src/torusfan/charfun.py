@@ -289,7 +289,7 @@ def build_gkm_graph(poset, chi):
     sign, the labels at each vertex form a lattice basis, and matched
     labels across an edge are congruent modulo the edge label.
     """
-    from .homology import pseudomanifold
+    from .homology import pseudomanifold, tops_above_ridges
 
     n = poset.rank
     pm = pseudomanifold(poset)
@@ -319,9 +319,7 @@ def build_gkm_graph(poset, chi):
 
     problems = []
     edges = []
-    for e in poset.by_rank(n - 1) if n >= 1 else ():
-        above = sorted(y for y in poset.upset(e) if poset.rank_of(y) == n)
-        p, q = above
+    for e, (p, q) in tops_above_ridges(poset).items():
         ap, aq = labels[p][e], labels[q][e]
         if ap == aq:
             sign = 1

@@ -8,6 +8,18 @@ dimensions, the quotient basis is its monomials at no pivot column, and
 the parity test evaluates the product of (1 + v_i) over the vertices in
 its mod 2 reduction.  The ring presentation lists the straightening and
 linear relations.
+
+Rows are added theta by theta, and a row theta_j * m is left out when m
+became a pivot column one degree down while the rows of theta_1 ..
+theta_{j-1} were added (Faugere's F5 criterion, ISSAC 2002).  The span
+does not change.  Such an m leads an element g = m + (later columns) of
+the ideal of theta_1 .. theta_{j-1} one degree down, so theta_j * m is
+theta_j * g, which lies in that ideal, minus theta_j times later columns.
+By induction on j and then down the columns, both parts lie in the span
+of the rows that are added.  Pivot columns, ranks and residues over GF(p)
+depend on the span alone, so every reader sees the same quotient.  When
+the thetas form a regular sequence (the face ring is Cohen-Macaulay), no
+added row reduces to zero.
 """
 
 from __future__ import annotations
@@ -15,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .facering import FaceRing, chain_monomial_basis, lsop_from_lambda
+from .facering import (FaceRing, chain_monomial_basis, lsop_from_lambda,
+                       vertex_product)
 from .poset import TorusfanError
 
 
@@ -23,29 +36,37 @@ class CohomologyError(TorusfanError):
     pass
 
 
-def _quotient(ring, chi, char, kmax):
+def _quotient(poset, chi, char, kmax):
     """For each degree 2k, k <= kmax: {chain monomial: position} over the
     chain-monomial basis, and the Span over GF(char), or Q for char 0, of
-    the rows theta_j * m for every j and every monomial m of degree 2k - 2.
-    ``ring`` is the integer face ring."""
-    poset = ring.poset
+    the rows theta_j * m for every j and every monomial m of degree 2k - 2;
+    the rows that the row criterion (module docstring) shows redundant are
+    not added."""
     vertices = sorted(poset.vertices())
+    missing = [v for v in vertices if v not in chi.vectors]
+    if missing:
+        raise CohomologyError(f"characteristic map misses vertices {missing}")
+    vectors = [chi.vec(v) for v in vertices]
     out = []
+    since = {}  # pivot column one degree down -> the j whose rows made it
     for k in range(kmax + 1):
         index = {m: i for i, m in enumerate(chain_monomial_basis(poset, k))}
         span = linalg.Span(char)
-        for m in out[-1][0] if out else ():
-            rows = [{} for _ in range(chi.n)]
-            for v in vertices:
-                prod = ring.monomial_product(((v, 1),), m)
-                for row, c in zip(rows, chi.vec(v)):
-                    if c:
-                        for mono, a in prod.items():
-                            i = index[mono]
-                            row[i] = row.get(i, 0) + c * a
-            for row in rows:
-                span.add(row)
+        # per monomial m one degree down: (column of v * m, chi(v)) pairs;
+        # products by distinct vertices share no monomial
+        products = [[(index[mono], vec)
+                     for v, vec in zip(vertices, vectors)
+                     for mono in vertex_product(poset, v, m)]
+                    for m in out[-1][0]] if out else []
+        pivots = {}
+        for j in range(chi.n):
+            for i, terms in enumerate(products):
+                if since.get(i, j) >= j:
+                    span.add({c: vec[j] for c, vec in terms if vec[j]})
+            for c in span.rows:
+                pivots.setdefault(c, j)
         out.append((index, span))
+        since = pivots
     return out
 
 
@@ -53,7 +74,7 @@ def quotient_dimensions(poset, chi, char=0, kmax=None):
     """Dimensions of (face ring / (theta_1..theta_n))_{2k} for k <= kmax."""
     kmax = poset.rank if kmax is None else kmax
     return [len(index) - span.rank
-            for index, span in _quotient(FaceRing(poset), chi, char, kmax)]
+            for index, span in _quotient(poset, chi, char, kmax)]
 
 
 def betti_numbers(poset, chi, char=0):
@@ -77,7 +98,7 @@ def graded_quotient_basis(poset, chi, char=0, kmax=None):
     one list per degree 2k: the monomials at no pivot column."""
     kmax = poset.rank if kmax is None else kmax
     ring = FaceRing(poset, char)
-    quotient = _quotient(FaceRing(poset), chi, char, kmax)
+    quotient = _quotient(poset, chi, char, kmax)
     return {k: [ring.element([(m, 1)]) for i, m in enumerate(index)
                 if i not in span.rows]
             for k, (index, span) in enumerate(quotient)}
@@ -163,17 +184,12 @@ def sw_parity(poset, chi):
     n = poset.rank
     if n < 1 or not poset.is_pure():
         return SWParityReport(False, note="poset must be pure of rank >= 1")
-    missing = [v for v in poset.vertices() if v not in chi.vectors]
-    if missing:
-        raise CohomologyError(
-            f"characteristic map misses vertices {sorted(missing)}")
+    quotient = _quotient(poset, chi, 2, n)
     ok, where = _mod2_parameters_ok(poset, chi)
     if not ok:
         return SWParityReport(
             False, note=f"no linear system of parameters mod 2 (fails at {where})")
 
-    ring = FaceRing(poset)
-    quotient = _quotient(ring, chi, 2, n)
     index, span = quotient[n]
     top_dim = len(index) - span.rank
     if top_dim != 1:
@@ -195,9 +211,8 @@ def sw_parity(poset, chi):
             index, span = quotient[k]
             acc = dict(w[k])
             for i, c in w[k - 1].items():
-                prod = ring.monomial_product(((v, 1),), bases[k - 1][i])
-                for mono, a in prod.items():
-                    acc[index[mono]] = acc.get(index[mono], 0) + c * a
+                for mono in vertex_product(poset, v, bases[k - 1][i]):
+                    acc[index[mono]] = acc.get(index[mono], 0) + c
             w[k] = span.reduce(acc)
 
     if not w[n]:

@@ -14,6 +14,15 @@ the poset minus its least element, subject to
 with v_{0-hat} = 1 and an empty sum equal to 0.  The monomials supported
 on chains x_1 < x_2 < ... < x_q with positive exponents form an additive
 basis, and every product straightens to that basis.
+
+A vertex times a chain monomial has a closed form (``vertex_product``),
+because every interval below an element is boolean (Stanley 1991).  With
+x the first chain element above the vertex v and p the one before it:
+v joins the chain at its bottom when x is the first element; one copy of
+p becomes the unique w with p covered by w, w <= x and v <= w when x
+comes later; and when no element lies above v, one copy of the top
+element t becomes z, summed over z in join_set(v, t).  Every coefficient
+is 1.
 """
 
 from __future__ import annotations
@@ -137,6 +146,34 @@ def straighten_product(poset, m1, m2):
         mono = _chain_to_monomial(chain)
         result[mono] = result.get(mono, 0) + coeff
     return {m: c for m, c in result.items() if c}
+
+
+def vertex_product(poset, v, m):
+    """Normal form of v_v times a chain monomial m, for a vertex v, as a
+    {chain monomial: 1} dict: ``straighten_product(poset, ((v, 1),), m)``
+    in the closed form of the module docstring.
+
+    Where v lies below the chain element x but not below p, the one
+    before it, v_v v_p is the sum of v_z over z in join_set(v, p).  Such
+    a z has no vertex outside x, so if z and x lie below a common element,
+    z <= x (the interval below that element is boolean); otherwise
+    v_z v_x vanishes.  The boolean interval [0-hat, x] holds one such z.
+    """
+    i = next((i for i, (x, _) in enumerate(m) if poset.leq(v, x)), len(m))
+    if i == 0:
+        return {_prepend(v, m): 1}
+    p, a = m[i - 1]
+    head = m[:i - 1] + (((p, a - 1),) if a > 1 else ())
+    tail = m[i:]
+    return {head + _prepend(z, tail): 1 for z in poset.join_set(v, p)
+            if not tail or poset.leq(z, tail[0][0])}
+
+
+def _prepend(y, m):
+    """The chain monomial v_y * m, for y below or equal to m's first element."""
+    if m and m[0][0] == y:
+        return ((y, m[0][1] + 1),) + m[1:]
+    return ((y, 1),) + m
 
 
 class RingElement:

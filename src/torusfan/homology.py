@@ -274,14 +274,22 @@ def gorenstein_star_subdivided(poset, force=False):
     return Verdict(not witnesses, witnesses)
 
 
+def tops_above_ridges(poset):
+    """{rank n-1 element: the rank-n elements above it, in id order}, read
+    off the covers of the rank-n elements."""
+    above = {x: [] for x in poset.by_rank(poset.rank - 1)}
+    for t in poset.tops():
+        for x in poset.covers(t):
+            above[x].append(t)
+    return above
+
+
 def pseudomanifold(poset):
     """Every rank n-1 element must lie below exactly two rank-n elements."""
-    n = poset.rank
     witnesses = []
     if not poset.is_pure():
         witnesses.append("poset is not pure")
-    for x in poset.by_rank(n - 1) if n >= 1 else ():
-        above = [y for y in poset.upset(x) if poset.rank_of(y) == n]
+    for x, above in tops_above_ridges(poset).items():
         if len(above) != 2:
             witnesses.append(
                 f"{poset.cell(x).named()} lies below {len(above)} top cells")

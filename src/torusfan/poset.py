@@ -185,11 +185,7 @@ class SimplicialPoset:
         self.rank = rank
         self.cells = {c.id: c for c in cells}
         self._downsets, self._atoms = _lower_sets(cells)
-        ups = {i: {i} for i in self.cells}
-        for i, down in self._downsets.items():
-            for j in down:
-                ups[j].add(i)
-        self._upsets = {i: frozenset(s) for i, s in ups.items()}
+        self._upsets = None  # built on the first upset() call
         by_rank = [[] for _ in range(rank + 1)]
         for c in cells:
             by_rank[c.rank].append(c.id)
@@ -226,7 +222,8 @@ class SimplicialPoset:
         return self.by_rank(self.rank)
 
     def maximal_elements(self):
-        return tuple(sorted(x for x in self.cells if self._upsets[x] == {x}))
+        covered = {d for c in self.cells.values() for d in c.covers}
+        return tuple(sorted(x for x in self.cells if x not in covered))
 
     def is_pure(self):
         return all(self.rank_of(x) == self.rank for x in self.maximal_elements())
@@ -238,6 +235,12 @@ class SimplicialPoset:
         return self._downsets[x]
 
     def upset(self, x):
+        if self._upsets is None:
+            ups = {i: {i} for i in self.cells}
+            for i, down in self._downsets.items():
+                for j in down:
+                    ups[j].add(i)
+            self._upsets = {i: frozenset(s) for i, s in ups.items()}
         return self._upsets[x]
 
     def atoms(self, x):
@@ -257,17 +260,24 @@ class SimplicialPoset:
     # ----- meets and joins -----------------------------------------------
 
     def join_set(self, x, y):
-        """All minimal common upper bounds of x and y, sorted."""
+        """All minimal common upper bounds of x and y, sorted.
+
+        They are the common upper bounds of rank |atoms(x) | atoms(y)|:
+        below an upper bound z the interval [0-hat, z] is boolean, so it
+        holds one element with exactly that vertex set, and it lies above
+        both x and y; an upper bound has at least those vertices, so none
+        of that rank has another bound below it.
+        """
         key = (x, y) if x <= y else (y, x)
         hit = self._join_cache.get(key)
         if hit is not None:
             return hit
-        common = self._upsets[x] & self._upsets[y]
-        minimal = tuple(sorted(
-            z for z in common
-            if not any(w != z and w in common for w in self._downsets[z])))
-        self._join_cache[key] = minimal
-        return minimal
+        down = self._downsets
+        rank = len(self._atoms[x] | self._atoms[y])
+        joins = tuple(z for z in self.by_rank(rank)
+                      if x in down[z] and y in down[z])
+        self._join_cache[key] = joins
+        return joins
 
     def meet(self, x, y):
         """The unique greatest common lower bound, or None if not unique.
@@ -313,7 +323,7 @@ class SimplicialPoset:
         """The rank ``rank - rank_of(x)`` of the link of x; PosetError
         unless x lies below a top cell and that rank is within the bound."""
         shift = self.rank_of(x)
-        up = self._upsets[x]
+        up = self.upset(x)
         if up.isdisjoint(self.tops()):
             top = max(self.cells[y].rank for y in up) - shift
             raise PosetError([f"link of {self.cell(x).named()}: declared "
@@ -330,7 +340,7 @@ class SimplicialPoset:
         rank = self.link_rank(x)
         shift = self.rank_of(x)
         cells = []
-        for y in sorted(self._upsets[x]):
+        for y in sorted(self.upset(x)):
             c = self.cells[y]
             covers = (c.covers if c.rank - shift > 0 else ())
             covers = tuple(d for d in covers if self.leq(x, d))

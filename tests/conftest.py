@@ -49,6 +49,23 @@ def disc():
     return simplex_poset(3)
 
 
+# realizable h-vectors of rank 2..4 whose posets stay small enough for the
+# slow oracles; all but (1, 1, 1) and (1, 2, 1) have doubled top cells
+SMALL_REALIZED_TARGETS = ((1, 0, 1), (1, 1, 1), (1, 2, 1), (1, 0, 0, 1),
+                          (1, 1, 1, 1), (1, 2, 2, 1), (1, 0, 2, 0, 1),
+                          (1, 1, 0, 1, 1), (1, 2, 1, 2, 1))
+
+
+def realized_family(targets=SMALL_REALIZED_TARGETS):
+    """{target: (poset, characteristic map)} from the realization pipeline."""
+    from torusfan.realize import realize_with_lambda
+    out = {}
+    for target in targets:
+        result = realize_with_lambda(list(target))
+        out[target] = (result.poset, result.chi)
+    return out
+
+
 def random_gluing(rng, n, pool_size, n_tops):
     """Random simplicial cell complex: n_tops top simplices on a shared
     vertex pool; repeated vertex sets become doubled cells, shared proper

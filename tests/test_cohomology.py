@@ -1,8 +1,13 @@
 """Betti ranks, ring presentations, Dehn-Sommerville, the mod 2 parity test."""
 
+import random
+from math import gcd
+
 import pytest
 
-from torusfan.charfun import CharacteristicMap, find_characteristic_map
+from torusfan import cohomology, facering, linalg
+from torusfan.charfun import (CharacteristicMap, build_gkm_graph,
+                              check_unimodular, find_characteristic_map)
 from torusfan.cohomology import (CohomologyError, betti_numbers,
                                  dehn_sommerville_check,
                                  graded_quotient_basis,
@@ -10,8 +15,11 @@ from torusfan.cohomology import (CohomologyError, betti_numbers,
                                  sw_parity)
 from torusfan.facering import format_element, graded_dimension, hilbert_check
 from torusfan.homology import cohen_macaulay
-from torusfan.poset import (Cell, SimplicialPoset, simplex_boundary,
-                            sphere_poset, sphere_product_poset)
+from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
+                            from_json_dict, simplex_boundary, sphere_poset,
+                            sphere_product_poset, to_json_dict)
+from conftest import realized_family
+from quotient_oracle import full_row_quotient
 from test_charfun import cp2_chi, sphere_chi
 
 
@@ -65,13 +73,17 @@ def test_betti_palindromic_iff_dehn_sommerville():
             p.h_vector())
 
 
-def test_betti_differs_from_h_without_cm():
-    # two disjoint edges: pure but disconnected, h = (1, 2, -1); the
-    # quotient dimensions stay non-negative, so they cannot match h
+def _two_disjoint_edges():
     cells = [Cell(0, 0, ()), Cell(1, 1, (0,)), Cell(2, 1, (0,)),
              Cell(3, 1, (0,)), Cell(4, 1, (0,)),
              Cell(5, 2, (1, 2)), Cell(6, 2, (3, 4))]
-    p = SimplicialPoset(2, cells)
+    return SimplicialPoset(2, cells)
+
+
+def test_betti_differs_from_h_without_cm():
+    # two disjoint edges: pure but disconnected, h = (1, 2, -1); the
+    # quotient dimensions stay non-negative, so they cannot match h
+    p = _two_disjoint_edges()
     assert p.h_vector() == (1, 2, -1)
     chi = find_characteristic_map(p, 1)
     betti = betti_numbers(p, chi)
@@ -87,6 +99,110 @@ def test_graded_quotient_basis_sizes():
         for a in elems:
             assert a.is_homogeneous()
             assert a.degrees() in ([], [2 * k])
+
+
+def test_quotient_names_missing_vertices():
+    p = simplex_boundary(2)
+    chi = CharacteristicMap(2, {1: (1, 0), 2: (0, 1)})
+    for call in (quotient_dimensions, graded_quotient_basis, sw_parity):
+        with pytest.raises(CohomologyError,
+                           match=r"^characteristic map misses vertices \[3\]$"):
+            call(p, chi)
+
+
+# ---------------------------------------------------------------------------
+# the row criterion against the quotient with every row
+
+
+def _assert_same_quotient(p, chi, char, kmax):
+    fast = cohomology._quotient(p, chi, char, kmax)
+    full = full_row_quotient(p, chi, char, kmax)
+    assert len(fast) == len(full) == kmax + 1
+    for (index, span), (full_index, full_span) in zip(fast, full):
+        assert list(index) == list(full_index)
+        assert span.rank == full_span.rank
+        assert sorted(span.rows) == sorted(full_span.rows)
+        # with equal ranks, one inclusion makes the row spaces equal
+        assert not any(full_span.reduce(row) for row in span.rows.values())
+        if char:  # residues are canonical over GF(p) only
+            for i in range(len(index)):
+                assert span.reduce({i: 1}) == full_span.reduce({i: 1})
+
+
+def _random_map(rng, p):
+    vectors = {}
+    for v in p.vertices():
+        vec = (0,) * p.rank
+        while gcd(*vec) != 1:
+            vec = tuple(rng.randint(-3, 3) for _ in range(p.rank))
+        vectors[v] = vec
+    return CharacteristicMap(p.rank, vectors)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_row_criterion_matches_every_row_on_realized_posets(char):
+    for p, chi in realized_family().values():
+        _assert_same_quotient(p, chi, char, p.rank + 1)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_row_criterion_matches_every_row_without_parameters(char):
+    rng = random.Random(9 + char)
+    posets = [sphere_product_poset(1, 2), simplex_boundary(3),
+              barycentric_subdivision(simplex_boundary(2))]
+    for p in posets:
+        maps = [_random_map(rng, p) for _ in range(30)]
+        assert not all(check_unimodular(p, chi)[0] for chi in maps)
+        for chi in maps:
+            _assert_same_quotient(p, chi, char, p.rank + 1)
+    p = _two_disjoint_edges()
+    _assert_same_quotient(p, find_characteristic_map(p, 1), char, p.rank + 1)
+
+
+def test_row_criterion_adds_no_zero_row_and_no_straightening(monkeypatch):
+    family = realized_family()
+    grew = []
+    span_add = linalg.Span.add
+
+    def counted_add(self, row):
+        out = span_add(self, row)
+        grew.append(out)
+        return out
+
+    def no_straightening(*args):
+        raise AssertionError("straighten_product called")
+
+    monkeypatch.setattr(linalg.Span, "add", counted_add)
+    every_row = 0
+    for p, chi in family.values():
+        for char in (0, 2, 3):
+            quotient = cohomology._quotient(p, chi, char, p.rank)
+            every_row += chi.n * sum(len(index) for index, _ in quotient[:-1])
+    assert grew and all(grew)
+    assert len(grew) < every_row  # the criterion does leave rows out
+    monkeypatch.setattr(facering, "straighten_product", no_straightening)
+    for p, chi in family.values():
+        for char in (0, 2, 3):
+            assert betti_numbers(p, chi, char) == p.h_vector()
+            basis = graded_quotient_basis(p, chi, char)
+            assert [len(basis[k]) for k in sorted(basis)] == list(p.h_vector())
+        report = sw_parity(p, chi)
+        assert report.applicable and report.consistent
+
+
+def test_cohomology_builds_no_upset_index():
+    for wire_poset, chi in realized_family().values():
+        n = wire_poset.rank
+        calls = [lambda p: betti_numbers(p, chi, 0),
+                 lambda p: graded_quotient_basis(p, chi, 2),
+                 lambda p: sw_parity(p, chi),
+                 lambda p: present_cohomology_ring(p, chi),
+                 lambda p: hilbert_check(p, 2 * n),
+                 lambda p: build_gkm_graph(p, chi)]
+        for call in calls:
+            p = from_json_dict(to_json_dict(wire_poset))
+            call(p)
+            assert p._upsets is None
 
 
 # ---------------------------------------------------------------------------

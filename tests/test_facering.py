@@ -5,17 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusfan.facering import (FaceRing, RingError, chain_monomial,
                                chain_monomial_basis, format_element,
                                graded_dimension, hilbert_check,
                                lsop_from_lambda, monomial_degree, parse_element,
                                restriction_at_vertex, series_coefficient,
-                               straighten_product, total_restriction)
+                               straighten_product, total_restriction,
+                               vertex_product)
 from torusfan.charfun import CharacteristicMap
 from torusfan.poset import (Cell, SimplicialPoset, simplex_boundary, sphere_poset,
                             sphere_product_poset)
-from conftest import builder_family
+from conftest import (SMALL_REALIZED_TARGETS, builder_family, random_surgery,
+                      realized_family)
 
 
 def _random_element(ring, rng, max_terms=4, max_exp=3):
@@ -161,6 +164,38 @@ def test_library_matches_random_order_oracle():
             expected = _straighten_random_order(poset, [g1, g2], rng)
             got = straighten_product(poset, ((g1, 1),), ((g2, 1),))
             assert got == expected
+
+
+def _vertex_products_match_straightening(poset):
+    """vertex_product against the general straightening for every vertex
+    and every chain monomial of degree up to 2 * rank; returns the count."""
+    pairs = 0
+    for k in range(poset.rank + 1):
+        for m in chain_monomial_basis(poset, k):
+            for v in poset.vertices():
+                assert vertex_product(poset, v, m) == straighten_product(
+                    poset, ((v, 1),), m), (v, m)
+                pairs += 1
+    return pairs
+
+
+def test_vertex_product_matches_straightening(examples_rank4):
+    posets = list(examples_rank4.values())
+    targets = SMALL_REALIZED_TARGETS + ((1, 1, 1, 1, 1), (1, 2, 2, 2, 1),
+                                        (1, 0, 0, 0, 0, 1), (1, 1, 1, 1, 1, 1))
+    posets += [p for p, _ in realized_family(targets).values()]
+    # doubled top cells: two tops on one vertex set
+    assert any(len({p.atoms(t) for t in p.tops()}) < len(p.tops())
+               for p in posets)
+    assert sum(_vertex_products_match_straightening(p) for p in posets) > 10000
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_vertex_product_matches_straightening_on_surgeries(seed, op):
+    _vertex_products_match_straightening(random_surgery(random.Random(seed), op))
 
 
 def test_chain_monomial_rejects_non_chains(s4_poset):

@@ -540,3 +540,15 @@ def test_disc_fails_pseudomanifold(disc):
     assert not verdict.ok
     assert any("below 1 top cells" in w for w in verdict.witnesses)
     assert not euler_sphere_check(disc)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_tops_above_ridges_match_upsets(seed, op):
+    p = random_surgery(random.Random(seed), op)
+    n = p.rank
+    assert homology.tops_above_ridges(p) == {
+        x: sorted(y for y in p.upset(x) if p.rank_of(y) == n)
+        for x in p.by_rank(n - 1)}

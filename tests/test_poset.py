@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusfan import homology
 from torusfan.poset import (Cell, PosetError, RankBoundError, SimplicialPoset,
                             are_isomorphic, barycentric_subdivision,
                             connected_sum, from_json_dict, join,
@@ -142,6 +143,60 @@ def test_meet_join_idempotent():
     for x in p.elements():
         assert p.join_set(x, x) == (x,)
         assert p.meet(x, x) == x
+
+
+def _upsets_oracle(p):
+    return {x: frozenset(y for y in p.cells if p.leq(x, y)) for x in p.cells}
+
+
+SURGERIES = st.sampled_from(["base", "join", "connected_sum", "stellar",
+                             "barycentric"])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), SURGERIES)
+def test_join_set_and_maximal_elements_match_upset_definitions(seed, op):
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    up = _upsets_oracle(p)
+    pairs = [(x, y) for x in p.cells for y in p.cells]
+    for x, y in rng.sample(pairs, min(len(pairs), 3000)):
+        common = up[x] & up[y]
+        minimal = tuple(sorted(
+            z for z in common
+            if not any(w != z and w in common for w in p.downset(z))))
+        assert p.join_set(x, y) == minimal, (x, y)
+    assert p.maximal_elements() == tuple(
+        sorted(x for x in p.cells if up[x] == {x}))
+    assert p._upsets is None  # neither needs the upset index
+
+
+def _link_results(p):
+    """Every link's rank and wire form (or refusal), and the homology
+    link pass up to its first refusal."""
+    links = []
+    for x in p.elements():
+        try:
+            links.append((p.link_rank(x), to_json_dict(p.link(x))))
+        except PosetError as err:
+            links.append(str(err))
+    passes = []
+    try:
+        passes.extend(homology._links(p))
+    except PosetError as err:
+        passes.append(str(err))
+    return links, passes
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), SURGERIES)
+def test_lazy_upsets_leave_links_unchanged(seed, op):
+    wire = to_json_dict(random_surgery(random.Random(seed), op))
+    lazy, eager = from_json_dict(wire), from_json_dict(wire)
+    assert lazy._upsets is None
+    eager._upsets = _upsets_oracle(eager)
+    assert _link_results(lazy) == _link_results(eager)
+    assert all(lazy.upset(x) == eager.upset(x) for x in lazy.cells)
 
 
 # ---------------------------------------------------------------------------
