@@ -3,12 +3,14 @@
 A characteristic map assigns a primitive integer n-vector to every rank-1
 element.  It is unimodular when, for every element x, the vectors on the
 vertices of x extend to a lattice basis (all Smith invariant factors 1).
-``check_unimodular`` tests every element by Smith normal form, so that a
-violation can name its invariant factors.  ``find_characteristic_map``
-tests only the prefix faces of the maximal elements (the atoms of each,
-in id order, up to the vertex being assigned): every element lies below
-one, and a subset of vectors that extend to a basis extends too, so the
-lexicographically first map is the one a test at every element gives.
+A subset of vectors that extend to a basis extends too, and every element
+lies below a maximal one.  So ``check_unimodular`` runs Smith normal form
+at the maximal elements and then only at the elements below none that
+passed; every failing element is still reached, and its violation names
+its invariant factors.  ``find_characteristic_map`` tests only the
+prefix faces of the maximal elements (the atoms of each, in id order, up
+to the vertex being assigned), so the lexicographically first map is the
+one a test at every element gives.
 A prefix's vectors extend to a basis together with c iff gcd(Q c) = 1,
 where Q maps Z^n onto Z^n modulo their span (``quotient_step``).
 
@@ -108,16 +110,30 @@ def check_unimodular(poset, chi):
             violations.append(f"vector for {x} is not primitive: {v}")
     if violations:
         return False, violations
-    for x in poset.elements():
-        k = poset.rank_of(x)
-        if k < 2:
-            continue
+
+    def factors(x):
+        # None when the vertex vectors of x extend to a lattice basis
         mat = [vectors[v] for v in sorted(poset.atoms(x))]
-        factors, rank = linalg.smith_normal_form(mat)
-        if rank < k or any(f != 1 for f in factors):
+        found, rank = linalg.smith_normal_form(mat)
+        ok = rank == poset.rank_of(x) and all(f == 1 for f in found)
+        return None if ok else found
+
+    # below a maximal element whose vectors extend to a basis every
+    # element's vectors do too, so only the rest need a Smith normal form
+    at_maximal = {m: factors(m) for m in poset.maximal_elements()
+                  if poset.rank_of(m) >= 2}
+    unimodular = set()
+    for m, found in at_maximal.items():
+        if found is None:
+            unimodular |= poset.downset(m)
+    for x in poset.elements():
+        if poset.rank_of(x) < 2 or x in unimodular:
+            continue
+        found = at_maximal[x] if x in at_maximal else factors(x)
+        if found is not None:
             violations.append(
                 f"{poset.cell(x).named()}: vertex vectors have invariant "
-                f"factors {factors}")
+                f"factors {found}")
     return not violations, violations
 
 

@@ -9,6 +9,7 @@ input.  Reports are byte-identical across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -342,7 +343,10 @@ def _common_flags(parser, suppress):
                              "randomized checks)")
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process: parsing leaves it unchanged and its
+    defaults are immutable, so every ``main`` call shares it."""
     top = _Parser(
         prog="torusfan",
         description="Face rings, homology and GKM data of simplicial posets.")
@@ -385,7 +389,7 @@ def _build_parser():
 
     p = add("cm-check", _cmd_cm_check)
     p.add_argument("poset")
-    p.add_argument("--fields", type=_int_list, default=[0, 2, 3, 5])
+    p.add_argument("--fields", type=_int_list, default=(0, 2, 3, 5))
 
     p = add("gorenstein-check", _cmd_gorenstein_check)
     p.add_argument("poset")

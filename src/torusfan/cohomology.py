@@ -132,10 +132,12 @@ def present_cohomology_ring(poset, chi):
         for y in ids[i + 1:]:
             if poset.leq(x, y) or poset.leq(y, x):
                 continue
-            ups = poset.join_set(x, y)
+            # uncached: each pair is visited once, and the poset's caches
+            # would keep every answer for its lifetime
+            ups = poset._join_set(x, y)
             terms = []
             if ups:
-                m = poset.meet(x, y)
+                m = poset._meet(x, y)
                 for z in ups:
                     pairs = ((z, 1),) if m == poset.root else ((m, 1), (z, 1))
                     terms.append((pairs, 1))

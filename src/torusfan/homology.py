@@ -192,8 +192,9 @@ def _links(poset):
     """(x, dimension of the link of x, its integral reduced homology) for
     every element x, the least element included."""
     boundary = _signed_boundary(poset)
+    poset.link_rank(poset.root)  # the largest link: one rank-bound check
     for x in poset.elements():
-        n = poset.link_rank(x)
+        n = poset._pure_link_rank(x)
         yield x, n - 1, _link_homology(poset, boundary, x, n)
 
 

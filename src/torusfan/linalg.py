@@ -146,7 +146,13 @@ class Span:
 
     def reduce(self, row):
         """The canonical residue of a row over GF(char): the one vector
-        congruent to it modulo the span that has no pivot column."""
+        congruent to it modulo the span that has no pivot column.
+
+        Refused over Q (ValueError): rows are kept integral there, so the
+        residue would need rescaling that no caller uses; ``add`` tells
+        whether a row lies in the span."""
+        if not self.char:
+            raise ValueError("Span.reduce needs a prime characteristic")
         return self._residue(row, True)
 
 

@@ -83,20 +83,26 @@ def _lower_sets(cells):
 
 def poset_violations(rank, cells):
     """All invariant violations of a raw cell table, as readable strings."""
+    return _validate(rank, cells)[0]
+
+
+def _validate(rank, cells):
+    """(violations, lower sets): the lower sets are ``_lower_sets`` of the
+    table, built once the covers are known to be rank-strict, else None."""
     problems = _rank_violations(rank)
     if problems:
-        return problems
+        return problems, None
     table = {}
     for c in cells:
         if c.id in table:
             problems.append(f"duplicate id {c.id}")
         table[c.id] = c
     if problems:
-        return problems
+        return problems, None
     roots = [c for c in table.values() if c.rank == 0]
     if len(roots) != 1:
         problems.append(f"exactly one rank-0 element required, found {len(roots)}")
-        return problems
+        return problems, None
     root = roots[0]
     if root.covers:
         problems.append(f"root {root.named()} must cover nothing")
@@ -119,9 +125,10 @@ def poset_violations(rank, cells):
                         f"{c.named()}: covers {table[d].named()} of rank "
                         f"{table[d].rank}, expected {c.rank - 1}")
     if problems:
-        return problems
+        return problems, None
 
-    downsets, atoms = _lower_sets(table.values())
+    lower = _lower_sets(table.values())
+    downsets, atoms = lower
     for c in table.values():
         k = c.rank
         if len(atoms[c.id]) != k:
@@ -152,14 +159,17 @@ def poset_violations(rank, cells):
                     f"({by_rank_count.get(j, 0)} elements of rank {j}, "
                     f"expected {comb(k, j)})")
                 break
-    return problems
+    return problems, lower
 
 
 class SimplicialPoset:
     """A validated simplicial poset.  Immutable; all surgery returns new values.
 
     Builders and surgery make simplicial posets by construction (Stanley
-    1991); ``_trusted`` indexes those, checking only the rank bound.
+    1991); ``_trusted`` indexes those, checking only the rank bound, and
+    builds their downsets and atom sets on first use.  The validating
+    constructor indexes from the downsets and atom sets that its
+    validation built, so either path builds them at most once.
     """
 
     __slots__ = ("rank", "cells", "root", "_downsets", "_upsets", "_atoms",
@@ -167,10 +177,10 @@ class SimplicialPoset:
 
     def __init__(self, rank, cells):
         cells = tuple(cells)
-        problems = poset_violations(rank, cells)
+        problems, lower = _validate(rank, cells)
         if problems:
             raise PosetError(problems)
-        self._index(rank, cells)
+        self._index(rank, cells, lower)
 
     @classmethod
     def _trusted(cls, rank, cells):
@@ -181,10 +191,11 @@ class SimplicialPoset:
         self._index(rank, tuple(cells))
         return self
 
-    def _index(self, rank, cells):
+    def _index(self, rank, cells, lower=None):
         self.rank = rank
         self.cells = {c.id: c for c in cells}
-        self._downsets, self._atoms = _lower_sets(cells)
+        # from validation, or built on first use (``_lower``)
+        self._downsets, self._atoms = lower or (None, None)
         self._upsets = None  # built on the first upset() call
         by_rank = [[] for _ in range(rank + 1)]
         for c in cells:
@@ -193,6 +204,13 @@ class SimplicialPoset:
         self.root = self._by_rank[0][0]
         self._join_cache = {}
         self._meet_cache = {}
+
+    def _lower(self):
+        """(downsets, atom sets), built on the first call for a trusted
+        poset: one that is only written out or counted never needs them."""
+        if self._downsets is None:
+            self._downsets, self._atoms = _lower_sets(self.cells.values())
+        return self._downsets, self._atoms
 
     # ----- basic queries -------------------------------------------------
 
@@ -229,15 +247,21 @@ class SimplicialPoset:
         return all(self.rank_of(x) == self.rank for x in self.maximal_elements())
 
     def leq(self, x, y):
-        return x in self._downsets[y]
+        down = self._downsets
+        if down is None:
+            down = self._lower()[0]
+        return x in down[y]
 
     def downset(self, x):
-        return self._downsets[x]
+        down = self._downsets
+        if down is None:
+            down = self._lower()[0]
+        return down[x]
 
     def upset(self, x):
         if self._upsets is None:
             ups = {i: {i} for i in self.cells}
-            for i, down in self._downsets.items():
+            for i, down in self._lower()[0].items():
                 for j in down:
                     ups[j].add(i)
             self._upsets = {i: frozenset(s) for i, s in ups.items()}
@@ -245,13 +269,17 @@ class SimplicialPoset:
 
     def atoms(self, x):
         """Ids of the rank-1 elements below x (the vertex set of the cell)."""
-        return self._atoms[x]
+        atoms = self._atoms
+        if atoms is None:
+            atoms = self._lower()[1]
+        return atoms[x]
 
     def is_simplicial_complex(self):
         """True when every cell is determined by its vertex set."""
+        atoms = self._lower()[1]
         seen = set()
         for x in self.cells:
-            key = self._atoms[x]
+            key = atoms[x]
             if key in seen:
                 return False
             seen.add(key)
@@ -270,14 +298,16 @@ class SimplicialPoset:
         """
         key = (x, y) if x <= y else (y, x)
         hit = self._join_cache.get(key)
-        if hit is not None:
-            return hit
-        down = self._downsets
-        rank = len(self._atoms[x] | self._atoms[y])
-        joins = tuple(z for z in self.by_rank(rank)
-                      if x in down[z] and y in down[z])
-        self._join_cache[key] = joins
-        return joins
+        if hit is None:
+            hit = self._join_cache[key] = self._join_set(x, y)
+        return hit
+
+    def _join_set(self, x, y):
+        """``join_set`` without the cache, for one-off sweeps over pairs."""
+        down, atoms = self._lower()
+        rank = len(atoms[x] | atoms[y])
+        return tuple(z for z in self.by_rank(rank)
+                     if x in down[z] and y in down[z])
 
     def meet(self, x, y):
         """The unique greatest common lower bound, or None if not unique.
@@ -285,14 +315,17 @@ class SimplicialPoset:
         Uniqueness is guaranteed whenever ``join_set(x, y)`` is non-empty.
         """
         key = (x, y) if x <= y else (y, x)
-        if key in self._meet_cache:
-            return self._meet_cache[key]
-        common = self._downsets[x] & self._downsets[y]
+        if key not in self._meet_cache:
+            self._meet_cache[key] = self._meet(x, y)
+        return self._meet_cache[key]
+
+    def _meet(self, x, y):
+        """``meet`` without the cache, for one-off sweeps over pairs."""
+        down = self._lower()[0]
+        common = down[x] & down[y]
         maximal = [z for z in common
-                   if not any(w != z and z in self._downsets[w] for w in common)]
-        out = maximal[0] if len(maximal) == 1 else None
-        self._meet_cache[key] = out
-        return out
+                   if not any(w != z and z in down[w] for w in common)]
+        return maximal[0] if len(maximal) == 1 else None
 
     # ----- numerical invariants -------------------------------------------
 
@@ -322,6 +355,15 @@ class SimplicialPoset:
     def link_rank(self, x):
         """The rank ``rank - rank_of(x)`` of the link of x; PosetError
         unless x lies below a top cell and that rank is within the bound."""
+        rank = self._pure_link_rank(x)
+        problems = _rank_violations(rank)
+        if problems:
+            raise PosetError(problems)
+        return rank
+
+    def _pure_link_rank(self, x):
+        """``link_rank`` without the rank bound, which a pass over every
+        link checks once, at the least element (the largest link)."""
         shift = self.rank_of(x)
         up = self.upset(x)
         if up.isdisjoint(self.tops()):
@@ -329,9 +371,6 @@ class SimplicialPoset:
             raise PosetError([f"link of {self.cell(x).named()}: declared "
                               f"rank {self.rank - shift} but maximal element "
                               f"rank is {top}"])
-        problems = _rank_violations(self.rank - shift)
-        if problems:
-            raise PosetError(problems)
         return self.rank - shift
 
     def link(self, x):

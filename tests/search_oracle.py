@@ -1,6 +1,6 @@
-"""The characteristic-map search with a Smith normal form at every cell:
-the slow reference that the tests check ``find_characteristic_map``
-against.
+"""The characteristic-map search and the unimodularity check with a Smith
+normal form at every cell: the slow references that the tests check
+``find_characteristic_map`` and ``check_unimodular`` against.
 
 Candidates are all primitive vectors in lexicographic order; at vertex v
 every element of rank >= 2 whose last atom is v must have vertex vectors
@@ -79,3 +79,20 @@ def find_characteristic_map(poset, bound, stats=None):
     if not found:
         return None
     return CharacteristicMap(n, dict(assign))
+
+
+def check_unimodular(poset, chi):
+    """``charfun.check_unimodular`` for a CharacteristicMap that covers
+    every vertex: a Smith normal form at every element of rank >= 2."""
+    violations = []
+    for x in poset.elements():
+        k = poset.rank_of(x)
+        if k < 2:
+            continue
+        mat = [chi.vec(v) for v in sorted(poset.atoms(x))]
+        factors, rank = dense_linalg.smith_normal_form(mat)
+        if rank < k or any(f != 1 for f in factors):
+            violations.append(
+                f"{poset.cell(x).named()}: vertex vectors have invariant "
+                f"factors {factors}")
+    return not violations, violations

@@ -4,12 +4,14 @@ restriction algebra."""
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import search_oracle
 
+from torusfan import linalg
 from torusfan.charfun import (CharacteristicMap, GKMError, build_gkm_graph,
                               check_unimodular, divisibility_check,
                               face_ring_to_gkm, find_characteristic_map,
@@ -231,6 +233,53 @@ def test_found_maps_are_unimodular(seed, op):
     if chi is not None:
         ok, violations = check_unimodular(p, chi)
         assert ok, violations
+
+
+def _random_primitive_map(rng, p):
+    vectors = {}
+    for v in p.vertices():
+        vec = (0,) * p.rank
+        while gcd(*vec) != 1:
+            vec = tuple(rng.randint(-2, 2) for _ in range(p.rank))
+        vectors[v] = vec
+    return CharacteristicMap(p.rank, vectors)
+
+
+def test_check_unimodular_matches_oracle_on_realized_maps():
+    for h in _pool_targets():
+        result = realize_with_lambda(h)
+        got = check_unimodular(result.poset, result.chi)
+        assert got == search_oracle.check_unimodular(result.poset, result.chi)
+        assert got == (True, []), h
+
+
+def test_check_unimodular_matches_oracle_on_random_maps():
+    rng = random.Random(7)
+    posets = list(builder_family(4).values()) + [_non_pure()]
+    posets += [random_surgery(rng, op) for op in
+               ("join", "connected_sum", "stellar", "barycentric") * 5]
+    failing = 0
+    for p in posets:
+        if p.rank < 1:
+            continue
+        for _ in range(5):
+            chi = _random_primitive_map(rng, p)
+            got = check_unimodular(p, chi)
+            assert got == search_oracle.check_unimodular(p, chi), (p, chi)
+            failing += not got[0]
+    assert failing >= 100
+
+
+def test_check_unimodular_runs_one_snf_per_maximal_element(monkeypatch):
+    calls = []
+    real = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form",
+                        lambda mat: calls.append(mat) or real(mat))
+    for h in ([1, 3, 3, 1], [1, 2, 2, 2, 1]):
+        result = realize_with_lambda(h)
+        calls.clear()
+        assert check_unimodular(result.poset, result.chi)[0]
+        assert len(calls) == len(result.poset.maximal_elements()), h
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, report shapes, determinism, round trips."""
 
 import json
+import os
 import re
 
 import pytest
@@ -334,3 +335,60 @@ def test_non_integer_rank_bound_exit_two(capsys, monkeypatch, sphere2_file,
     argv = [a.format(poset=sphere2_file, chi=chi2_file) for a in argv]
     code, report = run(capsys, *argv)
     assert code == 2 and "TORUSFAN_MAX_RANK" in report["error"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _mixed_command_lines(poset, chi, bad_chi, bad, out):
+    return [
+        ["homology", poset], ["--format", "text", "homology", poset],
+        ["homology", poset, "--format", "text"], ["homology", poset, "--char", "3"],
+        ["homology", poset, "--char", "0", "--format", "text"],
+        ["homology", poset, "--char", "4"], ["homology", poset, "--char", "x"],
+        ["cm-check", poset], ["cm-check", poset, "--fields", "2,3"],
+        ["--format", "text", "cm-check", poset, "--fields", "5"],
+        ["cm-check", poset, "--fields", "2,x"], ["cm-check", bad],
+        ["--seed", "7", "gorenstein-check", poset],
+        ["gorenstein-check", poset, "--seed", "3"], ["--seed", "x", "homology", poset],
+        ["--output", out, "poset-hvector", poset],
+        ["poset-hvector", poset, "-o", out, "--format", "text"],
+        ["charfun-check", poset, chi], ["charfun-check", poset, bad_chi],
+        ["betti", poset, chi, "--field", "2"],
+        ["present-ring", poset, chi], ["realize", "--target", "1,x"],
+        [], ["nope", poset], ["homology"], ["homology", poset, "--unknown"],
+        ["--format", "xml", "homology", poset], ["poset-validate", bad]]
+
+
+def _run_all(capsys, argvs, out):
+    results = []
+    for argv in argvs:
+        code = cli.main(list(argv))
+        written = None
+        if os.path.exists(out):
+            with open(out) as fh:
+                written = fh.read()
+            os.remove(out)
+        results.append((argv, code, capsys.readouterr().out, written))
+    return results
+
+
+def test_main_shares_one_parser_across_calls(capsys, monkeypatch, tmp_path,
+                                             sphere2_file, chi2_file):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    bad_chi = tmp_path / "chi_not_unimodular.json"
+    bad_chi.write_text(json.dumps({"1": [1, 0], "2": [1, 2]}))
+    out = str(tmp_path / "report.txt")
+    argvs = _mixed_command_lines(sphere2_file, chi2_file, str(bad_chi),
+                                 str(bad), out) * 3
+    cli._build_parser.cache_clear()
+    shared = _run_all(capsys, argvs, out)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+    # the same command lines, each parsed by a parser built afresh
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert shared == _run_all(capsys, argvs, out)
+    assert {code for _, code, _, _ in shared} == {0, 1, 2}
+    assert sum(written is not None for *_, written in shared) == 6

@@ -1,6 +1,8 @@
 """Betti ranks, ring presentations, Dehn-Sommerville, the mod 2 parity test."""
 
+import gc
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -123,7 +125,7 @@ def _assert_same_quotient(p, chi, char, kmax):
         assert span.rank == full_span.rank
         assert sorted(span.rows) == sorted(full_span.rows)
         # with equal ranks, one inclusion makes the row spaces equal
-        assert not any(full_span.reduce(row) for row in span.rows.values())
+        assert not any(full_span.add(row) for row in span.rows.values())
         if char:  # residues are canonical over GF(p) only
             for i in range(len(index)):
                 assert span.reduce({i: 1}) == full_span.reduce({i: 1})
@@ -234,6 +236,26 @@ def test_presentation_rank_zero():
     from torusfan.poset import point_poset
     pres = present_cohomology_ring(point_poset(), CharacteristicMap(0, {}))
     assert pres.generators == () and pres.product_relations == ()
+
+
+def test_presentation_keeps_no_join_or_meet_caches():
+    ((p, chi),) = realized_family([(1, 0, 2, 2, 0, 1)]).values()
+    assert len(p) == 57
+    wire = to_json_dict(p)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        q = from_json_dict(wire)
+        bare = tracemalloc.get_traced_memory()[0] - start
+        pres = present_cohomology_ring(q, chi)
+        del pres
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert q._join_cache == {} and q._meet_cache == {}
+    # the caches held more than twice the poset's own size
+    assert kept < 1.25 * bare, (kept, bare)
 
 
 # ---------------------------------------------------------------------------

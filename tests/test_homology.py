@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfan import homology
+from torusfan import homology, poset as poset_mod
 from torusfan.homology import (HomologyError, HomologyGroups,
                                _check_square_zero, _signed_boundary,
                                cell_chain_complex,
@@ -495,6 +495,25 @@ def test_gorenstein_fast_path_matches_subdivided_definition(s4_poset):
         fast = gorenstein_star(p).ok
         literal = gorenstein_star_subdivided(p).ok
         assert fast == literal, p
+
+
+def test_link_pass_reads_the_rank_bound_once(monkeypatch):
+    p = barycentric_subdivision(simplex_boundary(3))
+    reads = []
+    real = poset_mod.max_rank_bound
+    monkeypatch.setattr(poset_mod, "max_rank_bound",
+                        lambda: reads.append(1) or real())
+    link_verdicts(p, (2, 3))
+    assert len(reads) == 1
+    # a bound below the rank refuses the pass at the least element, as
+    # link_rank does there
+    monkeypatch.setenv("TORUSFAN_MAX_RANK", str(p.rank - 1))
+    with pytest.raises(PosetError) as refused:
+        list(homology._links(p))
+    with pytest.raises(PosetError) as direct:
+        p.link_rank(p.root)
+    assert refused.value.violations == direct.value.violations == [
+        f"rank {p.rank} exceeds the configured bound {p.rank - 1}"]
 
 
 def test_gorenstein_rank_bound(monkeypatch):

@@ -146,6 +146,15 @@ def test_span_reduce_gives_the_canonical_residue(seed):
             assert span.reduce(moved) == residue, (p, mat)
 
 
+def test_span_reduce_refused_over_q():
+    span = linalg.Span(0)
+    assert span.add({1: 2, 2: 1})
+    with pytest.raises(ValueError, match="prime characteristic"):
+        span.reduce({0: 1, 1: 1})
+    # membership over Q is what add reports
+    assert not span.add({1: 4, 2: 2}) and span.add({0: 1, 1: 1})
+
+
 def test_boundary_matrices_match_dense_oracle():
     for name, mat in boundary_matrices():
         assert linalg.smith_normal_form(mat) == dense_linalg.smith_normal_form(mat), name

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfan import homology
+from torusfan import homology, poset as poset_mod
 from torusfan.poset import (Cell, PosetError, RankBoundError, SimplicialPoset,
                             are_isomorphic, barycentric_subdivision,
                             connected_sum, from_json_dict, join,
@@ -119,6 +119,31 @@ def test_mutated_tables_fail_validation():
         assert poset_violations(p.rank, cells)
 
 
+def test_validated_load_builds_lower_sets_once(monkeypatch):
+    calls = []
+    real = poset_mod._lower_sets
+    monkeypatch.setattr(poset_mod, "_lower_sets",
+                        lambda cells: calls.append(1) or real(cells))
+    p = barycentric_subdivision(sphere_product_poset(1, 2))
+    wire = to_json_dict(p)
+    lower = p._lower()
+    for load in (lambda: from_json_dict(wire),
+                 lambda: SimplicialPoset(p.rank, p.cells.values())):
+        calls.clear()
+        q = load()
+        assert len(calls) == 1
+        assert (q._downsets, q._atoms) == lower
+        assert len(calls) == 1
+    # a trusted poset builds them on first use, once
+    calls.clear()
+    q = SimplicialPoset._trusted(p.rank, p.cells.values())
+    assert to_json_dict(q) == wire and q.h_vector() == p.h_vector()
+    assert not calls
+    assert q.leq(q.root, max(q.cells)) and q.atoms(max(q.cells))
+    assert (q._downsets, q._atoms) == lower
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # meets and joins
 
@@ -165,7 +190,8 @@ def test_join_set_and_maximal_elements_match_upset_definitions(seed, op):
         minimal = tuple(sorted(
             z for z in common
             if not any(w != z and w in common for w in p.downset(z))))
-        assert p.join_set(x, y) == minimal, (x, y)
+        assert p._join_set(x, y) == p.join_set(x, y) == minimal, (x, y)
+        assert p._meet(x, y) == p.meet(x, y), (x, y)
     assert p.maximal_elements() == tuple(
         sorted(x for x in p.cells if up[x] == {x}))
     assert p._upsets is None  # neither needs the upset index
