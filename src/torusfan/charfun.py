@@ -12,7 +12,9 @@ prefix faces of the maximal elements (the atoms of each, in id order, up
 to the vertex being assigned), so the lexicographically first map is the
 one a test at every element gives.
 A prefix's vectors extend to a basis together with c iff gcd(Q c) = 1,
-where Q maps Z^n onto Z^n modulo their span (``quotient_step``).
+where Q maps Z^n onto Z^n modulo their span (``quotient_step``); for a
+prefix of n-1 vectors Q is one row, and ``candidate_vectors`` solves
+Q c = +-1 for the last coordinate of c instead of testing every value.
 
 The 1-skeleton of the dual orbit space is the GKM graph: its vertices are
 the top cells, its edges the rank n-1 elements lying below exactly two
@@ -166,6 +168,43 @@ def quotient_step(rows, vec):
     return rows
 
 
+def candidate_vectors(maps, n, bound):
+    """The vectors c in [-bound, bound]^n with gcd(Q c) = 1 for every
+    quotient map Q in ``maps``, in lexicographic order.
+
+    The first n-1 coordinates are walked in lexicographic order.  A
+    one-row map q passes c iff s + q[-1] c[-1] = +-1, where s is the dot
+    product of q with those coordinates, so it leaves at most two values
+    of the last coordinate (all or none when q[-1] = 0).  Only the values
+    that every one-row map leaves are tested against the maps with more
+    rows.
+
+    >>> list(candidate_vectors([[[2, 3]]], 2, 2))
+    [(-2, 1), (-1, 1), (1, -1), (2, -1)]
+    """
+    values = range(-bound, bound + 1)
+    lines = [q[0] for q in maps if len(q) == 1]
+    wide = [q for q in maps if len(q) > 1]
+    for head in product(values, repeat=n - 1):
+        last = values
+        for row in lines:
+            s = sum(map(mul, row, head))
+            a = row[-1]
+            if a:
+                ends = (-1 - s, 1 - s) if a > 0 else (1 - s, -1 - s)
+                last = [t // a for t in ends if not t % a and t // a in last]
+                if not last:
+                    break
+            elif s != 1 and s != -1:
+                break
+        else:
+            for v in last:
+                c = (*head, v)
+                if all(gcd(*[sum(map(mul, r, c)) for r in q]) == 1
+                       for q in wide):
+                    yield c
+
+
 def find_characteristic_map(poset, bound):
     """Depth-first search for a unimodular characteristic map.
 
@@ -182,7 +221,10 @@ def find_characteristic_map(poset, bound):
     those of a check at every cell.  Each prefix that later vertices
     extend keeps a matrix Q mapping Z^n onto Z^n / span(its vectors),
     rebuilt by ``quotient_step`` whenever its last vertex takes a vector;
-    a candidate c passes a prefix iff gcd(Q c) = 1.
+    a candidate c passes a prefix iff gcd(Q c) = 1.  The candidates are
+    generated by ``candidate_vectors``, which solves each one-row Q (a
+    prefix of n-1 vectors) for the last coordinate; a vertex that
+    completes no prefix takes every primitive vector.
     """
     if bound < 1:
         return None
@@ -201,13 +243,10 @@ def find_characteristic_map(poset, bound):
     quotient = {(): [[int(i == j) for j in range(n)] for i in range(n)]}
 
     def candidates(i):
-        lattice = product(range(-bound, bound + 1), repeat=n)
         if not checks[i]:
+            lattice = product(range(-bound, bound + 1), repeat=n)
             return filter(_is_primitive, lattice)
-        maps = [quotient[p] for p in checks[i]]
-        return (c for c in lattice
-                if all(gcd(*[sum(map(mul, r, c)) for r in q]) == 1
-                       for q in maps))
+        return candidate_vectors([quotient[p] for p in checks[i]], n, bound)
 
     assign = [None] * len(vertices)
     pending = [None] * len(vertices)

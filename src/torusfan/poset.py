@@ -183,18 +183,20 @@ class SimplicialPoset:
         self._index(rank, cells, lower)
 
     @classmethod
-    def _trusted(cls, rank, cells):
+    def _trusted(cls, rank, cells, lower=None):
+        """A poset built by construction; ``lower``, when given, is its
+        (downsets, atom sets), as ``_lower_sets`` would build them."""
         problems = _rank_violations(rank)
         if problems:
             raise PosetError(problems)
         self = cls.__new__(cls)
-        self._index(rank, tuple(cells))
+        self._index(rank, tuple(cells), lower)
         return self
 
     def _index(self, rank, cells, lower=None):
         self.rank = rank
         self.cells = {c.id: c for c in cells}
-        # from validation, or built on first use (``_lower``)
+        # from validation or construction, or built on first use (``_lower``)
         self._downsets, self._atoms = lower or (None, None)
         self._upsets = None  # built on the first upset() call
         by_rank = [[] for _ in range(rank + 1)]
@@ -476,7 +478,10 @@ def connected_sum(p1, top1, p2, top2, matching=None):
 
     ``matching`` maps atoms of top1 to atoms of top2; by default the sorted
     vertex lists are matched in order.  The interior entries of the
-    h-vector add; this is checked.
+    h-vector add; this is checked.  The result carries its downsets and
+    atom sets: p1's as they are, p2's renamed, so no pass of
+    ``_lower_sets`` rebuilds them, and an operand glued into many sums
+    (a shared building block) has its own built once.
     """
     n = p1.rank
     if p1 is p2:
@@ -514,14 +519,22 @@ def connected_sum(p1, top1, p2, top2, matching=None):
         rename[y] = fresh
         fresh += 1
 
-    def image(y):
-        return identified.get(y, rename.get(y))
+    # every element of p2 but top2, which lies below nothing
+    image = {**identified, **rename}.__getitem__
 
+    # top1 lies below nothing, so p1's other lower sets carry over as they
+    # are; p2's carry over renamed
+    down1, atoms1 = p1._lower()
+    down2, atoms2 = p2._lower()
+    downsets = {y: s for y, s in down1.items() if y != top1}
+    atoms = {y: s for y, s in atoms1.items() if y != top1}
     for y, new_id in rename.items():
         c = p2.cell(y)
-        covers = tuple(sorted(image(d) for d in c.covers))
+        covers = tuple(sorted(map(image, c.covers)))
         cells.append(Cell(new_id, c.rank, covers, c.label))
-    out = SimplicialPoset._trusted(n, cells)
+        downsets[new_id] = frozenset(map(image, down2[y]))
+        atoms[new_id] = frozenset(map(image, atoms2[y]))
+    out = SimplicialPoset._trusted(n, cells, (downsets, atoms))
 
     h, h1, h2 = out.h_vector(), p1.h_vector(), p2.h_vector()
     expect = [h1[i] + h2[i] for i in range(n + 1)]

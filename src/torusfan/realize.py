@@ -23,8 +23,8 @@ from operator import index
 from .charfun import find_characteristic_map
 from .cohomology import dehn_sommerville_check
 from .homology import gorenstein_star
-from .poset import (TorusfanError, connected_sum, simplex_boundary,
-                    sphere_poset, sphere_product_poset)
+from .poset import (SimplicialPoset, TorusfanError, connected_sum,
+                    simplex_boundary, sphere_poset, sphere_product_poset)
 
 CASE1 = "case1-odd-n"
 CASE2 = "case2-even-middle"
@@ -35,6 +35,11 @@ MALFORMED = "malformed"
 
 class RealizationError(TorusfanError):
     pass
+
+
+class SearchBoundError(RealizationError):
+    """No characteristic map within the coordinate bound: a refusal,
+    not a failed check."""
 
 
 class MalformedTargetError(TorusfanError):
@@ -168,9 +173,18 @@ def decompose(target):
 
 
 def _fold_connected_sums(decomposition):
-    posets = [b.build() for b in decomposition.blocks]
-    out = posets[0]
-    for nxt in posets[1:]:
+    """The connected sum of the blocks, in order.  Each distinct block is
+    built once and glued in as often as it occurs."""
+    first, *rest = decomposition.blocks
+    built = {b: b.build() for b in dict.fromkeys(decomposition.blocks)}
+    out = built[first]
+    if first in rest:
+        # connected_sum glues two distinct values: start from a copy that
+        # shares the first block's cells and lower sets
+        out = SimplicialPoset._trusted(out.rank, out.cells.values(),
+                                       out._lower())
+    for b in rest:
+        nxt = built[b]
         out = connected_sum(out, min(out.tops()), nxt, min(nxt.tops()))
     return out
 
@@ -178,7 +192,8 @@ def _fold_connected_sums(decomposition):
 def realize_decomposition(decomposition, bound=2):
     """Build the connected sum of the blocks, verify the postconditions
     (h-vector, Gorenstein*) and search for a characteristic map; returns
-    (poset, chi) or raises RealizationError."""
+    (poset, chi) or raises RealizationError (SearchBoundError when the
+    bound admits no characteristic map)."""
     if not decomposition.blocks:
         raise RealizationError("empty decomposition")
     poset = _fold_connected_sums(decomposition)
@@ -192,7 +207,7 @@ def realize_decomposition(decomposition, bound=2):
                                + "; ".join(verdict.witnesses[:3]))
     chi = find_characteristic_map(poset, bound)
     if chi is None:
-        raise RealizationError(
+        raise SearchBoundError(
             f"no characteristic map with coordinate bound {bound}")
     return poset, chi
 
@@ -223,8 +238,6 @@ def realize_with_lambda(entries, bound=2):
     decomposition = decompose(HVectorTarget(entries))
     try:
         poset, chi = realize_decomposition(decomposition, bound)
-    except RealizationError as err:
-        if "no characteristic map" in str(err):
-            return Refusal("search-bound-exhausted", str(err))
-        raise
+    except SearchBoundError as err:
+        return Refusal("search-bound-exhausted", str(err))
     return Realization(verdict, decomposition, poset, chi)

@@ -13,8 +13,9 @@ import search_oracle
 
 from torusfan import linalg
 from torusfan.charfun import (CharacteristicMap, GKMError, build_gkm_graph,
-                              check_unimodular, divisibility_check,
-                              face_ring_to_gkm, find_characteristic_map,
+                              candidate_vectors, check_unimodular,
+                              divisibility_check, face_ring_to_gkm,
+                              find_characteristic_map,
                               gkm_subalgebra_dimension, thom_class_restriction,
                               tuple_degree)
 from torusfan.facering import FaceRing, chain_monomial_basis, graded_dimension
@@ -222,6 +223,45 @@ def test_search_matches_oracle_after_backtracking():
         assert find_characteristic_map(p, 1) == expected, seed
         backtracked += stats["backtracks"] > 0
     assert backtracked >= 5
+
+
+@pytest.mark.parametrize("h", [[1, 1, 1, 1, 1, 1, 1], [1, 1, 2, 1, 2, 1, 1]])
+def test_search_matches_oracle_on_rank_six(h):
+    p = realize_with_lambda(h).poset
+    assert p.rank == 6
+    assert (find_characteristic_map(p, 1)
+            == search_oracle.find_characteristic_map(p, 1))
+
+
+@st.composite
+def _quotient_maps(draw):
+    """(n, bound, maps): 1-3 integer maps of 1-3 rows (at most n) on Z^n,
+    some rows with last entry 0; bound 3 only up to n = 5, so the
+    lattice scan stays below 17,000 vectors."""
+    n = draw(st.integers(1, 6))
+    bound = draw(st.integers(1, 3 if n <= 5 else 2))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+    def row():
+        r = draw(entries)
+        if draw(st.booleans()):
+            r[-1] = 0
+        return r
+
+    maps = [[row() for _ in range(draw(st.integers(1, min(3, n))))]
+            for _ in range(draw(st.integers(1, 3)))]
+    return n, bound, maps
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_quotient_maps())
+def test_candidate_vectors_match_a_lattice_scan(case):
+    n, bound, maps = case
+    lattice = itertools.product(range(-bound, bound + 1), repeat=n)
+    expected = [c for c in lattice
+                if all(gcd(*[sum(a * b for a, b in zip(r, c)) for r in q]) == 1
+                       for q in maps)]
+    assert list(candidate_vectors(maps, n, bound)) == expected
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

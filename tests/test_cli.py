@@ -3,9 +3,12 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import torusfan
 from torusfan import cli, homology
 from torusfan.poset import (barycentric_subdivision, from_json_dict,
                             simplex_boundary, sphere_poset, to_json_dict)
@@ -392,3 +395,15 @@ def test_main_shares_one_parser_across_calls(capsys, monkeypatch, tmp_path,
     assert shared == _run_all(capsys, argvs, out)
     assert {code for _, code, _, _ in shared} == {0, 1, 2}
     assert sum(written is not None for *_, written in shared) == 6
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(torusfan.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfan", "realize", "--target", "1,0,1,0,1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "inadmissible"

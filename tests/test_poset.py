@@ -438,6 +438,14 @@ def test_connected_sum_needs_a_remaining_top_cell():
         connected_sum(point_poset(), 0, point_poset(), 0)
 
 
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_connected_sum_carries_its_lower_sets(seed):
+    out = random_surgery(random.Random(seed), "connected_sum")
+    assert out._downsets is not None
+    assert out._lower() == poset_mod._lower_sets(out.cells.values())
+
+
 def test_connected_sum_interior_additivity_random():
     family = [p for p in builder_family(4).values()]
     rng = random.Random(8)

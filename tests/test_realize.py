@@ -1,16 +1,20 @@
 """Admissibility, block decomposition, and the realization pipeline."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
-from torusfan.charfun import check_unimodular
+from torusfan import poset as poset_mod, realize as realize_mod
+from torusfan.charfun import check_unimodular, find_characteristic_map
 from torusfan.cohomology import dehn_sommerville_check
 from torusfan.homology import (euler_sphere_check, gorenstein_star,
                                pseudomanifold)
+from torusfan.poset import connected_sum, to_json_dict
 from torusfan.realize import (CASE1, CASE2, CASE3, INADMISSIBLE, MALFORMED,
                               Block, BlockDecomposition, HVectorTarget,
-                              MalformedTargetError, Realization, Refusal,
+                              MalformedTargetError, Realization,
+                              RealizationError, Refusal, SearchBoundError,
                               admissible, classify, decompose,
                               realize_decomposition, realize_with_lambda)
 
@@ -155,3 +159,71 @@ def test_realized_posets_pass_all_verdicts():
         assert pseudomanifold(p).ok
         assert euler_sphere_check(p)
         assert dehn_sommerville_check(p.h_vector())
+
+
+def test_search_bound_refusal_keeps_its_detail():
+    out = realize_with_lambda([1, 1, 1], bound=0)
+    assert out == Refusal("search-bound-exhausted",
+                          "no characteristic map with coordinate bound 0")
+    with pytest.raises(SearchBoundError):
+        realize_decomposition(decompose(HVectorTarget([1, 1, 1])), bound=0)
+
+
+def test_gorenstein_failure_is_not_a_refusal(monkeypatch):
+    monkeypatch.setattr(realize_mod, "gorenstein_star",
+                        lambda p: SimpleNamespace(ok=False, witnesses=["w"]))
+    with pytest.raises(RealizationError, match="not Gorenstein") as info:
+        realize_with_lambda([1, 0, 1])
+    assert not isinstance(info.value, SearchBoundError)
+
+
+# ---------------------------------------------------------------------------
+# the fold: shared blocks, carried lower sets
+
+
+def _admissible_targets(max_rank, max_entry):
+    out = []
+    for n in range(1, max_rank + 1):
+        for half in itertools.product(range(max_entry + 1), repeat=n // 2):
+            h = [1, *half, *reversed(half[: (n - 1) // 2]), 1]
+            if admissible(HVectorTarget(h)) != INADMISSIBLE:
+                out.append(h)
+    return out
+
+
+def _fold_fresh_blocks(decomposition):
+    posets = [b.build() for b in decomposition.blocks]
+    out = posets[0]
+    for nxt in posets[1:]:
+        out = connected_sum(out, min(out.tops()), nxt, min(nxt.tops()))
+    return out
+
+
+def test_shared_block_fold_matches_fresh_blocks():
+    targets = _admissible_targets(6, 2)
+    assert len(targets) == 46
+    for h in targets:
+        dec = decompose(HVectorTarget(h))
+        shared = realize_mod._fold_connected_sums(dec)
+        fresh = _fold_fresh_blocks(dec)
+        assert to_json_dict(shared) == to_json_dict(fresh), h
+        assert shared._lower() == poset_mod._lower_sets(shared.cells.values())
+        assert (find_characteristic_map(shared, 2)
+                == find_characteristic_map(fresh, 2)), h
+
+
+def test_realize_builds_each_block_and_lower_set_once(monkeypatch):
+    builds, passes = [], []
+    build, lower_sets = Block.build, poset_mod._lower_sets
+    monkeypatch.setattr(Block, "build",
+                        lambda self: builds.append(self) or build(self))
+    monkeypatch.setattr(poset_mod, "_lower_sets",
+                        lambda cells: passes.append(1) or lower_sets(cells))
+    for h in ([1, 4, 1], [1, 4, 4, 1], [1, 3, 2, 3, 1], [1, 2, 2, 2, 2, 1]):
+        distinct = set(decompose(HVectorTarget(h)).blocks)
+        builds.clear()
+        passes.clear()
+        assert isinstance(realize_with_lambda(h), Realization)
+        assert len(builds) == len(set(builds)) == len(distinct), h
+        # one pass per block; none for the sums or the Gorenstein* test
+        assert len(passes) == len(distinct), h
