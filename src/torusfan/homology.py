@@ -1,9 +1,10 @@
 """Integral homology of simplicial cell complexes, links, and the
 Cohen-Macaulay and Gorenstein* tests.
 
-Homology is computed over the integers only, by Smith normal form; the
-groups over Q and over GF(p) follow from the integral ones by the
-universal coefficient theorem (``HomologyGroups.over``).
+Homology is computed over the integers only, by coreductions and Smith
+normal form on what they leave; the groups over Q and over GF(p) follow
+from the integral ones by the universal coefficient theorem
+(``HomologyGroups.over``).
 
 The chain complex has one d-cell per rank-(d+1) poset element.  The
 boundary of a cell is the signed sum of its covered cells, the sign of a
@@ -11,7 +12,22 @@ cover being determined by the position of the omitted vertex in the
 sorted vertex list of the cell; lower segments are boolean, so the
 omitted vertex is well defined and the usual simplicial sign identity
 gives boundary-of-boundary zero.  ``_signed_boundary`` builds this map
-once per poset and checks d^2 = 0 on it once.
+once per poset, with its inversion (the cofaces of each element) in the
+same loop, and checks d^2 = 0 on it once.
+
+Coreductions (Mrozek-Batko, Discrete Comput. Geom. 41, 2009) shrink the
+complex before any Smith normal form.  A cell b whose boundary, restricted
+to the cells still present, is a single cell a is deleted together with
+a.  The entry is +-1, so d d b = +-d a = 0: a has no face left, {a, b} is
+an acyclic subcomplex, and the quotient by it, which has the same
+homology, is the boundary restricted to the other cells; no entry
+changes.  A pair found leaves its cofaces with one face fewer, and those
+left with one become the next candidates.  Smith normal form
+(``linalg._snf``) then runs only on the restricted boundaries of the
+cells that remain, one call per dimension that still has a nonzero row;
+on the spheres of the realization pipeline nothing is left for it.  The
+starting face counts need no pass: every [x, y] is boolean, so in the
+link of x the element y covers exactly rank(y) - rank(x) cells.
 
 Links are restrictions of that one map; no link poset and no dense
 matrix is built.  The reduced chain complex of link(x) is the signed
@@ -54,17 +70,29 @@ class ChainComplex:
         return tuple(len(c) for c in self.cells)
 
 
+class _Boundary(dict):
+    """The signed boundary {x: {y: sign}}, with ``cofaces`` {y: [the
+    elements that cover y]}, its inversion."""
+
+    __slots__ = ("cofaces",)
+
+
 def _signed_boundary(poset):
     """{x: {y: sign}} over the elements x and the elements y that x covers
-    (the least element maps to {}), d^2 = 0 checked once."""
-    boundary = {}
+    (the least element maps to {}), d^2 = 0 checked once; its ``cofaces``
+    are built in the same loop."""
+    cells = poset.cells
+    atoms_of = poset._lower()[1]
+    boundary = _Boundary()
+    cofaces = boundary.cofaces = {x: [] for x in cells}
     for x in poset.elements():
-        atoms = poset.atoms(x)
-        position = {v: i for i, v in enumerate(sorted(atoms))}
+        atoms = atoms_of[x]
+        order = sorted(atoms)
         col = boundary[x] = {}
-        for y in poset.covers(x):
-            (v,) = atoms - poset.atoms(y)
-            col[y] = -1 if position[v] % 2 else 1
+        for y in cells[x].covers:
+            (v,) = atoms - atoms_of[y]
+            col[y] = -1 if order.index(v) % 2 else 1
+            cofaces[y].append(x)
     _check_square_zero(boundary)
     return boundary
 
@@ -157,34 +185,54 @@ def reduced_homology(poset, char=None):
 def _link_homology(poset, boundary, x, n):
     """Integral reduced homology of the rank-n link of x: the signed
     boundary restricted to the elements above x, y of rank r being a cell
-    of dimension r - rank_of(x) - 1 and x the empty cell."""
-    up = poset.upset(x)
-    shift = poset.rank_of(x) + 1
-    cells = poset.cells
-    whole = x == poset.root
-    dims = [0] * n
-    rows = [[] for _ in range(n)]  # rows[d]: boundaries of the d-cells, d > 0
-    for y in up:
-        d = cells[y].rank - shift
-        if d >= 0:
-            dims[d] += 1
-            if d:
-                col = boundary[y]
-                rows[d].append(col if whole else
-                               {z: s for z, s in col.items() if z in up})
-    if not dims or not dims[0]:
+    of dimension r - rank_of(x) - 1 and x the empty cell, reduced by
+    coreductions; Smith normal form runs only on what is left."""
+    cofaces = boundary.cofaces
+    if not cofaces[x]:  # no vertex: the link is the empty complex
         return HomologyGroups(n, {-1: (1, ())})
-    # the boundary of each vertex is +-x: rank 1, no torsion
-    ranks = [1]
-    torsions = [()]
-    for d in range(1, n):
-        factors, r = linalg._snf(rows[d])
-        torsions.append(tuple(f for f in factors if f > 1))
-        ranks.append(r)
-    ranks.append(0)
-    torsions.append(())
-    groups = {d: (dims[d] - ranks[d] - ranks[d + 1], torsions[d + 1])
-              for d in range(n)}
+    cells = poset.cells
+    shift = cells[x].rank
+    up = cells if x == poset.root else poset.upset(x)  # the root's is all
+    # live[y]: the faces of y left in the link; [x, y] is boolean, so y
+    # covers rank(y) - rank(x) elements of it
+    live = {y: cells[y].rank - shift for y in up}
+    get = live.get
+    # one vertex pairs with the empty cell x, which leaves the others
+    # without a face
+    todo = cofaces[x][:1]
+    while todo:
+        b = todo.pop()
+        if get(b) != 1:
+            continue
+        for a in boundary[b]:
+            if a in live:
+                break
+        # b's one face a: dd b = 0 leaves a no face, so deleting the pair
+        # changes no other entry
+        del live[a], live[b]
+        for z in cofaces[a] + cofaces[b]:
+            k = get(z)
+            if k is not None:
+                live[z] = k - 1
+                if k == 2:
+                    todo.append(z)
+    # level e = dimension + 1 holds the cells of rank rank(x) + e
+    left = [0] * (n + 1)
+    rows = [[] for _ in range(n + 1)]
+    for y, k in live.items():
+        e = cells[y].rank - shift
+        left[e] += 1
+        if k:
+            rows[e].append({z: s for z, s in boundary[y].items()
+                            if z in live})
+    ranks = [0] * (n + 2)
+    torsions = [()] * (n + 2)
+    for e, level in enumerate(rows):
+        if level:
+            factors, ranks[e] = linalg._snf(level)
+            torsions[e] = tuple(f for f in factors if f > 1)
+    groups = {e - 1: (left[e] - ranks[e] - ranks[e + 1], torsions[e + 1])
+              for e in range(1, n + 1)}
     return HomologyGroups(n, groups)
 
 

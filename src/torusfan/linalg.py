@@ -9,10 +9,12 @@ kernel eliminates: rows are {column: value} dicts, and a ``Span`` inserts
 them one at a time into an echelon form keyed by leading column, over
 GF(p) or fraction-free over the integers; ``rank`` and
 ``invert_unimodular`` are built on it.  Smith normal form (``_snf`` on
-sparse rows, which the homology code calls directly; ``smith_normal_form``
-on a dense matrix) first removes +-1 pivots by unimodular row steps and
-pivots densely only on the block left over (Kaczynski-Mischaikow-Mrozek,
-Computational Homology, 2004; Dumas-Saunders-Villard, JSC 2001).
+sparse rows; ``smith_normal_form`` on a dense matrix) first removes +-1
+pivots by unimodular row steps and pivots densely only on the block left
+over (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
+Dumas-Saunders-Villard, JSC 2001).  The homology code calls ``_snf`` only
+on what its coreductions leave, which for the realized spheres is
+nothing; the characteristic-map checks call ``smith_normal_form``.
 """
 
 from __future__ import annotations

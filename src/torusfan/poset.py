@@ -481,12 +481,11 @@ def connected_sum(p1, top1, p2, top2, matching=None):
     h-vector add; this is checked.  The result carries its downsets and
     atom sets: p1's as they are, p2's renamed, so no pass of
     ``_lower_sets`` rebuilds them, and an operand glued into many sums
-    (a shared building block) has its own built once.
+    (a shared building block) has its own built once.  p2's cells other
+    than the glued ones are copied under fresh ids, so p1 and p2 may be
+    the same value: P # P needs no second copy of P.
     """
     n = p1.rank
-    if p1 is p2:
-        raise PosetError(["connected sum needs two distinct poset values; "
-                          "build or load the second operand separately"])
     if p2.rank != n:
         raise PosetError([f"rank mismatch: {p1.rank} vs {p2.rank}"])
     if p1.rank_of(top1) != n or p2.rank_of(top2) != n:

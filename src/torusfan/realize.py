@@ -23,8 +23,8 @@ from operator import index
 from .charfun import find_characteristic_map
 from .cohomology import dehn_sommerville_check
 from .homology import gorenstein_star
-from .poset import (SimplicialPoset, TorusfanError, connected_sum,
-                    simplex_boundary, sphere_poset, sphere_product_poset)
+from .poset import (TorusfanError, connected_sum, simplex_boundary,
+                    sphere_poset, sphere_product_poset)
 
 CASE1 = "case1-odd-n"
 CASE2 = "case2-even-middle"
@@ -178,11 +178,6 @@ def _fold_connected_sums(decomposition):
     first, *rest = decomposition.blocks
     built = {b: b.build() for b in dict.fromkeys(decomposition.blocks)}
     out = built[first]
-    if first in rest:
-        # connected_sum glues two distinct values: start from a copy that
-        # shares the first block's cells and lower sets
-        out = SimplicialPoset._trusted(out.rank, out.cells.values(),
-                                       out._lower())
     for b in rest:
         nxt = built[b]
         out = connected_sum(out, min(out.tops()), nxt, min(nxt.tops()))

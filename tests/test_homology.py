@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfan import homology, poset as poset_mod
+from torusfan import homology, linalg, poset as poset_mod
 from torusfan.homology import (HomologyError, HomologyGroups,
                                _check_square_zero, _signed_boundary,
                                cell_chain_complex,
@@ -20,7 +20,7 @@ from torusfan.poset import (Cell, PosetError, SimplicialPoset,
                             simplex_poset, sphere_poset, sphere_product_poset,
                             stellar_subdivision)
 from torusfan.cohomology import dehn_sommerville_check
-from conftest import builder_family, random_surgery
+from conftest import builder_family, random_surgery, realized_family
 from dense_linalg import _rank_mod_p, _rank_rational
 from dense_linalg import smith_normal_form as dense_smith_normal_form
 
@@ -376,6 +376,74 @@ def test_link_homology_by_restriction_on_random_surgery(seed, op):
     p = random_surgery(random.Random(seed), op)
     _assert_links_match_oracle(p)
     assert reduced_homology(p) == _dense_homology(p)
+
+
+# ---------------------------------------------------------------------------
+# coreductions
+
+
+def _count_snf(monkeypatch):
+    """Record the row count of every ``linalg._snf`` call homology makes."""
+    calls = []
+    snf = linalg._snf
+
+    def counted(rows):
+        calls.append(len(rows))
+        return snf(rows)
+
+    monkeypatch.setattr(linalg, "_snf", counted)
+    return calls
+
+
+def test_gorenstein_star_on_realized_posets_runs_no_snf(monkeypatch):
+    posets = [p for p, _ in realized_family().values()]
+    posets += [p for p, _ in realized_family(((1, 2, 2, 2, 2, 2, 1),
+                                              (1, 3, 3, 3, 3, 3, 3, 1)))
+               .values()]
+    assert {p.rank for p in posets} >= {6, 7}
+    calls = _count_snf(monkeypatch)
+    for p in posets:
+        assert gorenstein_star(p).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("make, torsion", [(projective_plane, (2,)),
+                                           (moore_space_mod3, (3,))])
+def test_coreduction_leftover_keeps_torsion(monkeypatch, make, torsion):
+    p = make()
+    calls = _count_snf(monkeypatch)
+    hom = reduced_homology(p)
+    assert len(calls) == 1 and 0 < calls[0] < len(p.by_rank(p.rank))
+    assert hom.torsion(1) == torsion and hom == _dense_homology(p)
+
+
+def test_whole_complex_homology_builds_no_upsets():
+    # the least element's link is the whole complex: no upset is needed
+    p = barycentric_subdivision(sphere_poset(3))
+    assert reduced_homology(p).is_sphere(2)
+    assert p._upsets is None
+
+
+def _scrambled(p, rng):
+    """p with its ids permuted at random: the same complex, whose cells
+    and cofaces come in another order, so coreductions pair others."""
+    ids = list(p.cells)
+    rng.shuffle(ids)
+    new = dict(zip(p.cells, ids))
+    return SimplicialPoset._trusted(p.rank, [
+        Cell(new[c.id], c.rank, tuple(new[d] for d in c.covers), c.label)
+        for c in p.cells.values()])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_coreduction_order_leaves_the_groups(seed, op):
+    rng = random.Random(seed)
+    p = _scrambled(random_surgery(rng, op), rng)
+    assert reduced_homology(p) == _dense_homology(p)
+    _assert_links_match_oracle(p)
 
 
 def _permutation_sign(seq):

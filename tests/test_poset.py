@@ -446,6 +446,38 @@ def test_connected_sum_carries_its_lower_sets(seed):
     assert out._lower() == poset_mod._lower_sets(out.cells.values())
 
 
+def _assert_self_sum_matches_a_copy(p, make, rng):
+    """P # P from one value equals P # (a separately built P)."""
+    t1, t2 = rng.choice(p.tops()), rng.choice(p.tops())
+    verts = sorted(p.atoms(t2))
+    rng.shuffle(verts)
+    matching = dict(zip(sorted(p.atoms(t1)), verts))
+    same = connected_sum(p, t1, p, t2, matching)
+    other = connected_sum(p, t1, make(), t2, matching)
+    assert to_json_dict(same) == to_json_dict(other)
+    assert (same._lower() == other._lower()
+            == poset_mod._lower_sets(same.cells.values()))
+
+
+def test_connected_sum_of_a_block_with_itself():
+    rng = random.Random(5)
+    for k in range(1, 5):
+        for l in range(k, 6 - k):
+            _assert_self_sum_matches_a_copy(
+                sphere_product_poset(k, l),
+                lambda: sphere_product_poset(k, l), rng)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), SURGERIES)
+def test_connected_sum_of_a_random_poset_with_itself(seed, op):
+    p = random_surgery(random.Random(seed), op)
+    if p.rank and len(p.tops()) > 1:
+        _assert_self_sum_matches_a_copy(
+            p, lambda: random_surgery(random.Random(seed), op),
+            random.Random(seed + 1))
+
+
 def test_connected_sum_interior_additivity_random():
     family = [p for p in builder_family(4).values()]
     rng = random.Random(8)
@@ -453,8 +485,6 @@ def test_connected_sum_interior_additivity_random():
         p1 = rng.choice(family)
         same_rank = [p for p in family if p.rank == p1.rank]
         p2 = rng.choice(same_rank)
-        if p2 is p1:
-            p2 = from_json_dict(to_json_dict(p1))
         t1 = rng.choice(p1.tops())
         t2 = rng.choice(p2.tops())
         verts2 = sorted(p2.atoms(t2))
