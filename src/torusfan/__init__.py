@@ -13,9 +13,9 @@ from .poset import (Cell, PosetError, RankBoundError, SimplicialPoset,
                     to_json_dict)
 from .facering import (FaceRing, RingElement, RingError, chain_monomial,
                        chain_monomial_basis, format_element,
-                       graded_dimension, hilbert_check, lsop_from_lambda,
-                       parse_element, restriction_at_vertex, straighten_product,
-                       total_restriction)
+                       graded_dimension, graded_dimensions, hilbert_check,
+                       lsop_from_lambda, parse_element, restriction_at_vertex,
+                       straighten_product, total_restriction)
 from .homology import (cell_chain_complex, cohen_macaulay, euler_sphere_check,
                        gorenstein_star, gorenstein_star_subdivided,
                        link_verdicts, pseudomanifold, reduced_homology,

@@ -466,18 +466,24 @@ def gkm_subalgebra_dimension(graph, k):
     monos = monomials_of_degree(n, k)
     offset = {x: i * len(monos) for i, x in enumerate(graph.vertices)}
     span = linalg.Span(0)
+    conditions = {}  # label -> [[(i, c), ...] per target monomial]
     for e in graph.edges:
         p, q = (offset[x] for x in e.ends)
-        restricted = [restrict_to_hyperplane(Poly(n, {m: 1}), e.labels[0])
-                      for m in monos]
-        targets = sorted({t for r in restricted for t in r.coeffs})
-        for t in targets:
-            row = {}
-            for i, r in enumerate(restricted):
-                c = r.coeffs.get(t, 0)
-                if c:
-                    row[p + i], row[q + i] = c, -c
-            span.add(row)
+        alpha = e.labels[0]
+        rows = conditions.get(alpha)
+        if rows is None:
+            restricted = [restrict_to_hyperplane(Poly(n, {m: 1}), alpha)
+                          for m in monos]
+            targets = sorted({t for r in restricted for t in r.coeffs})
+            rows = conditions[alpha] = [
+                [(i, c) for i, r in enumerate(restricted)
+                 if (c := r.coeffs.get(t, 0))]
+                for t in targets]
+        for row in rows:
+            out = {}
+            for i, c in row:
+                out[p + i], out[q + i] = c, -c
+            span.add(out)
     return len(offset) * len(monos) - span.rank
 
 

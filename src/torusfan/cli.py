@@ -239,9 +239,8 @@ def _cmd_gkm_report(args):
               "sign": e.sign}
              for e in graph.edges]
     dims = []
-    for k in range(dmax + 1):
+    for k, ring in enumerate(facering.graded_dimensions(p, dmax)):
         gkm = charfun.gkm_subalgebra_dimension(graph, k)
-        ring = facering.graded_dimension(p, k)
         dims.append({"k": k, "gkm": gkm, "face_ring": ring,
                      "equal": gkm == ring})
     payload = {"ok": True, "vertices": list(graph.vertices), "edges": edges,

@@ -6,8 +6,11 @@ system attached to a characteristic map (``_quotient``: per degree, the
 span of the rows theta_j * m) serves three readers: Betti ranks are its
 dimensions, the quotient basis is its monomials at no pivot column, and
 the parity test evaluates the product of (1 + v_i) over the vertices in
-its mod 2 reduction.  The ring presentation lists the straightening and
-linear relations.
+its mod 2 reduction.  The vertex products behind the rows are computed
+once per monomial, from the upper covers (``facering.vertex_products``),
+and the parity test reads the same table.  The ring presentation lists
+the straightening and linear relations; it finds the pairs with a common
+upper bound from the maximal elements above each cell.
 
 Rows are added theta by theta, and a row theta_j * m is left out when m
 became a pivot column one degree down while the rows of theta_1 ..
@@ -27,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .facering import (FaceRing, chain_monomial_basis, lsop_from_lambda,
-                       vertex_product)
+from .facering import (FaceRing, RingElement, chain_monomial_basis,
+                       lsop_from_lambda, upper_covers, vertex_products)
 from .poset import TorusfanError
 
 
@@ -38,34 +41,34 @@ class CohomologyError(TorusfanError):
 
 def _quotient(poset, chi, char, kmax):
     """For each degree 2k, k <= kmax: {chain monomial: position} over the
-    chain-monomial basis, and the Span over GF(char), or Q for char 0, of
-    the rows theta_j * m for every j and every monomial m of degree 2k - 2;
-    the rows that the row criterion (module docstring) shows redundant are
-    not added."""
+    chain-monomial basis; the Span over GF(char), or Q for char 0, of the
+    rows theta_j * m for every j and every monomial m of degree 2k - 2,
+    less the rows that the row criterion (module docstring) shows
+    redundant; and the products behind those rows: per monomial m, one
+    (column of v * m, chi(v), v) triple per term of each vertex product."""
     vertices = sorted(poset.vertices())
     missing = [v for v in vertices if v not in chi.vectors]
     if missing:
         raise CohomologyError(f"characteristic map misses vertices {missing}")
-    vectors = [chi.vec(v) for v in vertices]
+    vectors = {v: chi.vec(v) for v in vertices}
+    upper = upper_covers(poset)
     out = []
     since = {}  # pivot column one degree down -> the j whose rows made it
     for k in range(kmax + 1):
         index = {m: i for i, m in enumerate(chain_monomial_basis(poset, k))}
         span = linalg.Span(char)
-        # per monomial m one degree down: (column of v * m, chi(v)) pairs;
         # products by distinct vertices share no monomial
-        products = [[(index[mono], vec)
-                     for v, vec in zip(vertices, vectors)
-                     for mono in vertex_product(poset, v, m)]
+        products = [[(index[mono], vectors[v], v)
+                     for v, mono in vertex_products(poset, m, upper)]
                     for m in out[-1][0]] if out else []
         pivots = {}
         for j in range(chi.n):
             for i, terms in enumerate(products):
                 if since.get(i, j) >= j:
-                    span.add({c: vec[j] for c, vec in terms if vec[j]})
+                    span.add({c: vec[j] for c, vec, _ in terms if vec[j]})
             for c in span.rows:
                 pivots.setdefault(c, j)
-        out.append((index, span))
+        out.append((index, span, products))
         since = pivots
     return out
 
@@ -74,7 +77,7 @@ def quotient_dimensions(poset, chi, char=0, kmax=None):
     """Dimensions of (face ring / (theta_1..theta_n))_{2k} for k <= kmax."""
     kmax = poset.rank if kmax is None else kmax
     return [len(index) - span.rank
-            for index, span in _quotient(poset, chi, char, kmax)]
+            for index, span, _ in _quotient(poset, chi, char, kmax)]
 
 
 def betti_numbers(poset, chi, char=0):
@@ -101,7 +104,7 @@ def graded_quotient_basis(poset, chi, char=0, kmax=None):
     quotient = _quotient(poset, chi, char, kmax)
     return {k: [ring.element([(m, 1)]) for i, m in enumerate(index)
                 if i not in span.rows]
-            for k, (index, span) in enumerate(quotient)}
+            for k, (index, span, _) in enumerate(quotient)}
 
 
 # ---------------------------------------------------------------------------
@@ -124,24 +127,39 @@ def present_cohomology_ring(poset, chi):
     straightening relations, and the n linear relations read off the
     characteristic map."""
     ring = FaceRing(poset)
-    gens = tuple((x, 2 * poset.rank_of(x), poset.cell(x).label)
-                 for x in poset.elements() if x != poset.root)
-    relations = []
     ids = [x for x in poset.elements() if x != poset.root]
+    gens = tuple((x, 2 * poset.rank_of(x), poset.cell(x).label) for x in ids)
+    down = {x: poset.downset(x) for x in ids}
+    # the maximal elements above each cell: two cells have a common upper
+    # bound iff these sets meet
+    above = {x: set() for x in ids}
+    for t in poset.maximal_elements():
+        for x in poset.downset(t):
+            if x != poset.root:
+                above[x].add(t)
+    relations = []
+    zero = ring.zero()
     for i, x in enumerate(ids):
+        above_x = above[x]
+        atoms_x = poset.atoms(x)
         for y in ids[i + 1:]:
-            if poset.leq(x, y) or poset.leq(y, x):
+            # ids go up by rank, so y <= x only when y == x
+            if x in down[y]:
+                continue
+            if above_x.isdisjoint(above[y]):
+                relations.append((x, y, zero))
                 continue
             # uncached: each pair is visited once, and the poset's caches
-            # would keep every answer for its lifetime
-            ups = poset._join_set(x, y)
-            terms = []
-            if ups:
-                m = poset._meet(x, y)
-                for z in ups:
-                    pairs = ((z, 1),) if m == poset.root else ((m, 1), (z, 1))
-                    terms.append((pairs, 1))
-            relations.append((x, y, ring.element(terms)))
+            # would keep every answer for its lifetime.  Below a common
+            # upper bound the interval is boolean, so the meet is the one
+            # common lower bound with the common vertices.
+            r = len(atoms_x & poset.atoms(y))
+            if r:
+                m = next(w for w in down[x] & down[y] if poset.rank_of(w) == r)
+                terms = {((m, 1), (z, 1)): 1 for z in poset._join_set(x, y)}
+            else:
+                terms = {((z, 1),): 1 for z in poset._join_set(x, y)}
+            relations.append((x, y, RingElement(ring, terms)))
     linear = tuple(lsop_from_lambda(ring, chi))
     return RingPresentation(gens, tuple(relations), linear)
 
@@ -166,15 +184,19 @@ class SWParityReport:
 
 def _mod2_parameters_ok(poset, chi):
     """The linear system stays a system of parameters mod 2 iff every
-    cell's vertex vectors keep full rank over GF(2)."""
-    for x in poset.elements():
+    cell's vertex vectors keep full rank over GF(2).  A face's vectors are
+    some of those of each maximal element above it, so the maximal
+    elements are tested first; only when one fails does the scan over
+    every cell, in order, find the first failing one to name."""
+    def full_rank(x):
         k = poset.rank_of(x)
-        if k < 1:
-            continue
-        mat = [chi.vec(v) for v in sorted(poset.atoms(x))]
-        if linalg.rank(mat, 2) != k:
-            return False, poset.cell(x).named()
-    return True, None
+        return k < 1 or linalg.rank(
+            [chi.vec(v) for v in sorted(poset.atoms(x))], 2) == k
+
+    if all(map(full_rank, poset.maximal_elements())):
+        return True, None
+    x = next(x for x in poset.elements() if not full_rank(x))
+    return False, poset.cell(x).named()
 
 
 def sw_parity(poset, chi):
@@ -192,7 +214,7 @@ def sw_parity(poset, chi):
         return SWParityReport(
             False, note=f"no linear system of parameters mod 2 (fails at {where})")
 
-    index, span = quotient[n]
+    index, span, _ = quotient[n]
     top_dim = len(index) - span.rank
     if top_dim != 1:
         return SWParityReport(
@@ -204,18 +226,23 @@ def sw_parity(poset, chi):
         return SWParityReport(
             False, note="top cells do not share a single nonzero socle class")
 
+    # the columns of v * m per (position of m, vertex v), one degree up,
+    # from the products behind the quotient's rows
+    columns = [{} for _ in quotient]
+    for k, (_, _, products) in enumerate(quotient):
+        for i, terms in enumerate(products):
+            for c, _, v in terms:
+                columns[k].setdefault((i, v), []).append(c)
     # w = prod over vertices of (1 + v_i), one residue per degree; going
     # down in degree, w_k + v w_{k-1} still reads the old w_{k-1}
-    bases = [list(index) for index, _ in quotient]
     w = [{0: 1}] + [{} for _ in range(n)]
     for v in sorted(poset.vertices()):
         for k in range(n, 0, -1):
-            index, span = quotient[k]
             acc = dict(w[k])
             for i, c in w[k - 1].items():
-                for mono in vertex_product(poset, v, bases[k - 1][i]):
-                    acc[index[mono]] = acc.get(index[mono], 0) + c
-            w[k] = span.reduce(acc)
+                for col in columns[k].get((i, v), ()):
+                    acc[col] = acc.get(col, 0) + c
+            w[k] = quotient[k][1].reduce(acc)
 
     if not w[n]:
         pairing = 0

@@ -15,14 +15,16 @@ with v_{0-hat} = 1 and an empty sum equal to 0.  The monomials supported
 on chains x_1 < x_2 < ... < x_q with positive exponents form an additive
 basis, and every product straightens to that basis.
 
-A vertex times a chain monomial has a closed form (``vertex_product``),
-because every interval below an element is boolean (Stanley 1991).  With
-x the first chain element above the vertex v and p the one before it:
-v joins the chain at its bottom when x is the first element; one copy of
-p becomes the unique w with p covered by w, w <= x and v <= w when x
-comes later; and when no element lies above v, one copy of the top
-element t becomes z, summed over z in join_set(v, t).  Every coefficient
-is 1.
+A vertex times a chain monomial has a closed form (``vertex_products``,
+for every vertex at once), because every interval below an element is
+boolean (Stanley 1991).  Along a chain x_1 < ... < x_q, the vertices of
+x_1 join the chain at its bottom; a vertex first below x_i meets the one
+upper cover w of x_{i-1} with w <= x_i, and one copy of x_{i-1} becomes
+w; a vertex below no chain element meets each upper cover z of x_q that
+it lies below, and one copy of x_q becomes z.  In each case the vertex is
+the one atom of w (or z) outside x_{i-1} (or x_q), so the products are
+read off the upper covers (``upper_covers``), with no order test per
+vertex.  Every coefficient is 1.
 """
 
 from __future__ import annotations
@@ -148,25 +150,45 @@ def straighten_product(poset, m1, m2):
     return {m: c for m, c in result.items() if c}
 
 
-def vertex_product(poset, v, m):
-    """Normal form of v_v times a chain monomial m, for a vertex v, as a
-    {chain monomial: 1} dict: ``straighten_product(poset, ((v, 1),), m)``
-    in the closed form of the module docstring.
+def upper_covers(poset):
+    """{x: ((w, v), ...)}: the elements w covering x, each with the one
+    vertex v below w and not below x, read off the cover lists."""
+    upper = {x: [] for x in poset.cells}
+    for c in poset.cells.values():
+        atoms = poset.atoms(c.id)
+        for d in c.covers:
+            (v,) = atoms - poset.atoms(d)
+            upper[d].append((c.id, v))
+    return {x: tuple(sorted(ws)) for x, ws in upper.items()}
 
-    Where v lies below the chain element x but not below p, the one
-    before it, v_v v_p is the sum of v_z over z in join_set(v, p).  Such
-    a z has no vertex outside x, so if z and x lie below a common element,
-    z <= x (the interval below that element is boolean); otherwise
-    v_z v_x vanishes.  The boolean interval [0-hat, x] holds one such z.
+
+def vertex_products(poset, m, upper):
+    """The normal forms of v_v times a chain monomial m for every vertex v,
+    as (v, chain monomial) pairs, each with coefficient 1: v has one pair
+    per monomial of ``straighten_product(poset, ((v, 1),), m)`` and none
+    when that product is 0.  ``upper`` is ``upper_covers(poset)``.
+
+    Where v lies below the chain element x_i but not below x_{i-1},
+    v_v v_{x_{i-1}} is the sum of v_z over z in join_set(v, x_{i-1}).
+    Such a z has no vertex outside x_i, so if z and x_i lie below a common
+    element, z <= x_i (the interval below that element is boolean);
+    otherwise v_z v_{x_i} vanishes.  The boolean interval [0-hat, x_i]
+    holds one such z, an upper cover of x_{i-1}.
     """
-    i = next((i for i, (x, _) in enumerate(m) if poset.leq(v, x)), len(m))
-    if i == 0:
-        return {_prepend(v, m): 1}
-    p, a = m[i - 1]
-    head = m[:i - 1] + (((p, a - 1),) if a > 1 else ())
-    tail = m[i:]
-    return {head + _prepend(z, tail): 1 for z in poset.join_set(v, p)
-            if not tail or poset.leq(z, tail[0][0])}
+    if not m:
+        return [(v, ((v, 1),)) for v in poset.vertices()]
+    out = [(v, _prepend(v, m)) for v in poset.atoms(m[0][0])]
+    for i in range(1, len(m) + 1):
+        p, a = m[i - 1]
+        head = m[:i - 1] + (((p, a - 1),) if a > 1 else ())
+        if i < len(m):
+            tail = m[i:]
+            below = poset.downset(tail[0][0])
+            out += [(v, head + _prepend(w, tail))
+                    for w, v in upper[p] if w in below]
+        else:
+            out += [(v, head + ((z, 1),)) for z, v in upper[p]]
+    return out
 
 
 def _prepend(y, m):
@@ -361,10 +383,14 @@ def total_restriction(element):
 def graded_dimension(poset, k):
     """Number of chain monomials of degree 2k (the dimension of the
     degree-2k graded piece)."""
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
+    return graded_dimensions(poset, k)[k] if k >= 0 else 0
+
+
+def graded_dimensions(poset, kmax):
+    """[graded_dimension(poset, k) for k in range(kmax + 1)]: the chain
+    monomials are counted down the poset's downsets, with one memo for
+    every degree, since the count of those ending at x with weight w does
+    not depend on k."""
     memo = {}
 
     def ending_at(x, w):
@@ -388,7 +414,9 @@ def graded_dimension(poset, k):
         memo[key] = total
         return total
 
-    return sum(ending_at(x, k) for x in poset.cells if x != poset.root)
+    elements = [x for x in poset.cells if x != poset.root]
+    return [1 if k == 0 else sum(ending_at(x, k) for x in elements)
+            for k in range(kmax + 1)]
 
 
 def chain_monomial_basis(poset, k):
@@ -448,8 +476,8 @@ def hilbert_check(poset, dmax):
     """Compare chain-monomial counts with the h-vector series up to degree 2*dmax."""
     h = poset.h_vector()
     n = poset.rank
-    rows = [(k, graded_dimension(poset, k), series_coefficient(h, n, k))
-            for k in range(dmax + 1)]
+    rows = [(k, count, series_coefficient(h, n, k))
+            for k, count in enumerate(graded_dimensions(poset, dmax))]
     return HilbertReport(rows)
 
 

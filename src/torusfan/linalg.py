@@ -7,8 +7,9 @@ the package that takes a ``char`` calls it (where the integers are
 allowed, None stands for them and is not passed to it).  One sparse
 kernel eliminates: rows are {column: value} dicts, and a ``Span`` inserts
 them one at a time into an echelon form keyed by leading column, over
-GF(p) or fraction-free over the integers; ``rank`` and
-``invert_unimodular`` are built on it.  Smith normal form (``_snf`` on
+GF(p) with every row scaled to leading coefficient 1 (so clearing a
+column needs no inverse), or fraction-free over the integers; ``rank``
+and ``invert_unimodular`` are built on it.  Smith normal form (``_snf`` on
 sparse rows; ``smith_normal_form`` on a dense matrix) first removes +-1
 pivots by unimodular row steps and pivots densely only on the block left
 over (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
@@ -77,21 +78,18 @@ def _sparse(mat):
     return [{j: index(v) for j, v in enumerate(row) if v} for row in mat]
 
 
-def _clear(r, q, c, p):
-    """Row r with its column-c entry eliminated by the pivot row q: over
-    GF(p), r - (r[c] / q[c]) q; over the integers (p == 0), s r - f q with
-    s / f = q[c] / r[c] in lowest terms and s > 0.  When s > 1 (the pivot
-    is not +-1 and does not divide r[c]) the row is divided by its content.
+def _clear(r, q, c):
+    """Integer row r with its column-c entry eliminated by the pivot row q:
+    s r - f q with s / f = q[c] / r[c] in lowest terms and s > 0.  When
+    s > 1 (the pivot is not +-1 and does not divide r[c]) the row is
+    divided by its content.
     """
     a, b = q[c], r[c]
-    if p:
-        s, f = 1, b * pow(a, -1, p)
-    else:
-        g = gcd(a, b) if a > 0 else -gcd(a, b)
-        s, f = a // g, b // g
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
+    s, f = a // g, b // g
     out = {k: s * v for k, v in r.items()} if s != 1 else dict(r)
     for k, v in q.items():
-        w = (out.get(k, 0) - f * v) % p if p else out.get(k, 0) - f * v
+        w = out.get(k, 0) - f * v
         if w:
             out[k] = w
         else:
@@ -106,13 +104,14 @@ def _clear(r, q, c, p):
 class Span:
     """Row space of sparse integer rows {column: value} over GF(char),
     char prime, or over Q when char is 0, kept in echelon form: ``rows``
-    maps each pivot column to the row whose least column it is.
+    maps each pivot column to the row whose least column it is.  Over
+    GF(char) that row is monic: its entry at the pivot column is 1.
 
-    >>> s = Span(2)
-    >>> s.add({0: 1, 2: 1}), s.add({0: 3, 2: 5}), s.add({1: 1, 2: 1})
+    >>> s = Span(3)
+    >>> s.add({0: 2, 2: 1}), s.add({0: 1, 2: 2}), s.add({1: 1, 2: 1})
     (True, False, True)
-    >>> s.rank, sorted(s.rows), s.reduce({0: 1, 1: 1, 3: 1})
-    (2, [0, 1], {3: 1})
+    >>> s.rows[0], s.rank, s.reduce({0: 1, 3: 1})
+    ({0: 1, 2: 2}, 2, {2: 1, 3: 1})
     """
 
     def __init__(self, char=0):
@@ -126,24 +125,38 @@ class Span:
     def _residue(self, row, keep):
         # entries are taken mod char here and nowhere else; with keep, a
         # non-pivot column moves to the residue and elimination goes on
-        p, out = self.char, {}
+        p, rows, out = self.char, self.rows, {}
         r = {k: w for k, v in row.items() if (w := v % p if p else v)}
         while r:
             c = min(r)
-            q = self.rows.get(c)
-            if q is not None:
-                r = _clear(r, q, c, p)
-            elif keep:
+            q = rows.get(c)
+            if q is None:
+                if not keep:
+                    return r
                 out[c] = r.pop(c)
+            elif p:
+                # q is monic, so r - r[c] q clears column c; r is a copy
+                f = r[c]
+                for k, v in q.items():
+                    w = (r.get(k, 0) - f * v) % p
+                    if w:
+                        r[k] = w
+                    else:
+                        del r[k]
             else:
-                return r
+                r = _clear(r, q, c)
         return out
 
     def add(self, row):
         """Insert a row; return True if the span grew."""
         r = self._residue(row, False)
         if r:
-            self.rows[min(r)] = r
+            c = min(r)
+            lead = r[c]
+            if lead != 1 and self.char:
+                inv = pow(lead, -1, self.char)
+                r = {k: v * inv % self.char for k, v in r.items()}
+            self.rows[c] = r
         return bool(r)
 
     def reduce(self, row):
@@ -245,7 +258,7 @@ def _snf(rows):
         r = todo.pop()
         for c, q in units.items():
             if c in r:
-                r = _clear(r, q, c, 0)
+                r = _clear(r, q, c)
         c = next((c for c, v in r.items() if v == 1 or v == -1), None)
         if c is not None:
             units[c] = r
@@ -279,7 +292,7 @@ def invert_unimodular(mat):
     for c in reversed(range(n)):
         for i in range(c):
             if c in pivots[i]:
-                pivots[i] = _clear(pivots[i], pivots[c], c, 0)
+                pivots[i] = _clear(pivots[i], pivots[c], c)
     out = []
     for c in range(n):
         r = pivots[c]

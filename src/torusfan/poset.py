@@ -173,7 +173,7 @@ class SimplicialPoset:
     """
 
     __slots__ = ("rank", "cells", "root", "_downsets", "_upsets", "_atoms",
-                 "_by_rank", "_join_cache", "_meet_cache")
+                 "_by_rank", "_top_set", "_join_cache", "_meet_cache")
 
     def __init__(self, rank, cells):
         cells = tuple(cells)
@@ -204,6 +204,7 @@ class SimplicialPoset:
             by_rank[c.rank].append(c.id)
         self._by_rank = tuple(tuple(sorted(ids)) for ids in by_rank)
         self.root = self._by_rank[0][0]
+        self._top_set = None  # built on the first _pure_link_rank() call
         self._join_cache = {}
         self._meet_cache = {}
 
@@ -368,7 +369,9 @@ class SimplicialPoset:
         link checks once, at the least element (the largest link)."""
         shift = self.rank_of(x)
         up = self.upset(x)
-        if up.isdisjoint(self.tops()):
+        if self._top_set is None:
+            self._top_set = frozenset(self.tops())
+        if up.isdisjoint(self._top_set):
             top = max(self.cells[y].rank for y in up) - shift
             raise PosetError([f"link of {self.cell(x).named()}: declared "
                               f"rank {self.rank - shift} but maximal element "

@@ -163,6 +163,35 @@ def echelon_pivot_columns(rows, char=0):
     return pivots
 
 
+def reduce_mod_p(rows, u, p):
+    """The residue of the vector u modulo the row space over GF(p) that is
+    zero at every pivot column, as {column: value} with 0 < value < p."""
+    a = [[int(x) % p for x in row] for row in rows]
+    m, n = len(a), len(u)
+    r = 0
+    pivots = []
+    for col in range(n):
+        piv = next((i for i in range(r, m) if a[i][col]), -1)
+        if piv < 0:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col]:
+                c = a[i][col]
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append((col, r))
+        r += 1
+        if r == m:
+            break
+    v = [int(x) % p for x in u]
+    for col, i in pivots:
+        f = v[col]
+        v = [(x - f * y) % p for x, y in zip(v, a[i])]
+    return {j: x for j, x in enumerate(v) if x}
+
+
 def invert_unimodular(mat):
     """Inverse of a square integer matrix with determinant +-1."""
     n = len(mat)

@@ -1,13 +1,23 @@
-"""The graded quotient with every row, as a test oracle.
+"""The graded quotient with every row, and the ring presentation pair by
+pair, as test oracles.
 
 ``cohomology._quotient`` multiplies by vertices in closed form and leaves
 out the rows theta_j * m that the F5 criterion shows redundant.  This
 oracle adds every row theta_j * m, monomial by monomial, with products
 from the general straightening.
+
+``cohomology.present_cohomology_ring`` finds comparable pairs and common
+upper bounds from downsets and maximal elements and builds each relation
+from its known chain monomials.  This oracle tests every pair with
+``leq`` both ways, takes the join set and meet from the poset, and builds
+each relation through ``FaceRing.element``, which checks that every
+monomial is a chain.
 """
 
 from torusfan import linalg
-from torusfan.facering import chain_monomial_basis, straighten_product
+from torusfan.cohomology import RingPresentation
+from torusfan.facering import (FaceRing, chain_monomial_basis,
+                               lsop_from_lambda, straighten_product)
 
 
 def full_row_quotient(poset, chi, char, kmax):
@@ -30,3 +40,26 @@ def full_row_quotient(poset, chi, char, kmax):
                 span.add(row)
         out.append((index, span))
     return out
+
+
+def pairwise_presentation(poset, chi):
+    """The presentation as ``present_cohomology_ring`` returns it."""
+    ring = FaceRing(poset)
+    gens = tuple((x, 2 * poset.rank_of(x), poset.cell(x).label)
+                 for x in poset.elements() if x != poset.root)
+    relations = []
+    ids = [x for x in poset.elements() if x != poset.root]
+    for i, x in enumerate(ids):
+        for y in ids[i + 1:]:
+            if poset.leq(x, y) or poset.leq(y, x):
+                continue
+            ups = poset._join_set(x, y)
+            terms = []
+            if ups:
+                m = poset._meet(x, y)
+                for z in ups:
+                    pairs = ((z, 1),) if m == poset.root else ((m, 1), (z, 1))
+                    terms.append((pairs, 1))
+            relations.append((x, y, ring.element(terms)))
+    linear = tuple(lsop_from_lambda(ring, chi))
+    return RingPresentation(gens, tuple(relations), linear)

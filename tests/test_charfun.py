@@ -489,6 +489,27 @@ def test_gkm_dimension_equals_face_ring_dimension():
             assert gkm_subalgebra_dimension(g, k) == graded_dimension(p, k)
 
 
+def test_gkm_dimension_restricts_once_per_edge_label(monkeypatch):
+    from torusfan import charfun, polys
+    restrict = polys.restrict_to_hyperplane
+    calls = []
+
+    def counted(poly, alpha):
+        calls.append(alpha)
+        return restrict(poly, alpha)
+
+    monkeypatch.setattr(charfun, "restrict_to_hyperplane", counted)
+    result = realize_with_lambda([1, 3, 3, 1])
+    p = result.poset
+    g = build_gkm_graph(p, result.chi)
+    labels = {e.labels[0] for e in g.edges}
+    assert len(labels) < len(g.edges)
+    for k in range(4):
+        calls.clear()
+        assert gkm_subalgebra_dimension(g, k) == graded_dimension(p, k)
+        assert len(calls) == len(labels) * len(polys.monomials_of_degree(3, k))
+
+
 # ---------------------------------------------------------------------------
 # the ring map into restriction tuples
 

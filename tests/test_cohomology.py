@@ -6,6 +6,7 @@ import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusfan import cohomology, facering, linalg
 from torusfan.charfun import (CharacteristicMap, build_gkm_graph,
@@ -15,14 +16,15 @@ from torusfan.cohomology import (CohomologyError, betti_numbers,
                                  graded_quotient_basis,
                                  present_cohomology_ring, quotient_dimensions,
                                  sw_parity)
-from torusfan.facering import format_element, graded_dimension, hilbert_check
+from torusfan.facering import (chain_monomial, format_element,
+                               graded_dimension, hilbert_check)
 from torusfan.homology import cohen_macaulay
 from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
                             from_json_dict, simplex_boundary, sphere_poset,
                             sphere_product_poset, to_json_dict)
-from conftest import realized_family
-from quotient_oracle import full_row_quotient
-from test_charfun import cp2_chi, sphere_chi
+from conftest import random_surgery, realized_family
+from quotient_oracle import full_row_quotient, pairwise_presentation
+from test_charfun import _non_pure, cp2_chi, sphere_chi
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def _assert_same_quotient(p, chi, char, kmax):
     fast = cohomology._quotient(p, chi, char, kmax)
     full = full_row_quotient(p, chi, char, kmax)
     assert len(fast) == len(full) == kmax + 1
-    for (index, span), (full_index, full_span) in zip(fast, full):
+    for (index, span, _), (full_index, full_span) in zip(fast, full):
         assert list(index) == list(full_index)
         assert span.rank == full_span.rank
         assert sorted(span.rows) == sorted(full_span.rows)
@@ -179,7 +181,7 @@ def test_row_criterion_adds_no_zero_row_and_no_straightening(monkeypatch):
     for p, chi in family.values():
         for char in (0, 2, 3):
             quotient = cohomology._quotient(p, chi, char, p.rank)
-            every_row += chi.n * sum(len(index) for index, _ in quotient[:-1])
+            every_row += chi.n * sum(len(index) for index, _, _ in quotient[:-1])
     assert grew and all(grew)
     assert len(grew) < every_row  # the criterion does leave rows out
     monkeypatch.setattr(facering, "straighten_product", no_straightening)
@@ -236,6 +238,47 @@ def test_presentation_rank_zero():
     from torusfan.poset import point_poset
     pres = present_cohomology_ring(point_poset(), CharacteristicMap(0, {}))
     assert pres.generators == () and pres.product_relations == ()
+
+
+def _assert_presentation_matches_oracle(p, chi):
+    pres = present_cohomology_ring(p, chi)
+    oracle = pairwise_presentation(p, chi)
+    assert pres.generators == oracle.generators
+    assert [(x, y) for x, y, _ in pres.product_relations] == [
+        (x, y) for x, y, _ in oracle.product_relations]
+    for (x, y, rhs), (_, _, expected) in zip(pres.product_relations,
+                                             oracle.product_relations):
+        # the same terms, inserted in the same order, over the same ring
+        assert list(rhs.terms.items()) == list(expected.terms.items()), (x, y)
+        assert rhs.ring.char == expected.ring.char
+        assert rhs.ring.poset is p
+        for mono in rhs.terms:
+            assert chain_monomial(p, mono) == mono, (x, y, mono)
+    assert [t.terms for t in pres.linear_relations] == [
+        t.terms for t in oracle.linear_relations]
+
+
+def test_presentation_matches_pairwise_oracle():
+    rng = random.Random(4)
+    cases = list(realized_family().values())
+    cases.append((_two_disjoint_edges(),
+                  find_characteristic_map(_two_disjoint_edges(), 1)))
+    for p in (_non_pure(), sphere_product_poset(1, 2),
+              barycentric_subdivision(_non_pure())):
+        cases.append((p, _random_map(rng, p)))
+    assert sum(not p.is_pure() for p, _ in cases) == 2
+    for p, chi in cases:
+        _assert_presentation_matches_oracle(p, chi)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_presentation_matches_pairwise_oracle_on_surgeries(seed, op):
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    _assert_presentation_matches_oracle(p, _random_map(rng, p))
 
 
 def test_presentation_keeps_no_join_or_meet_caches():
@@ -316,6 +359,43 @@ def test_sw_parity_inapplicable_without_mod2_parameters():
     report = sw_parity(p, chi)
     assert not report.applicable
     assert "mod 2" in report.note
+
+
+def test_sw_parity_names_the_cell_that_fails_mod_2():
+    # primitive, but the edge 12 has determinant -2
+    p = simplex_boundary(2)
+    chi = CharacteristicMap(2, {1: (1, 1), 2: (1, -1), 3: (1, 0)})
+    assert not check_unimodular(p, chi)[0]
+    report = sw_parity(p, chi)
+    assert not report.applicable
+    assert report.note == "no linear system of parameters mod 2 (fails at 12)"
+
+
+def _first_cell_failing_mod_2(p, chi):
+    """Every cell in order, with a rank over GF(2) for each."""
+    for x in p.elements():
+        k = p.rank_of(x)
+        if k and linalg.rank([chi.vec(v) for v in sorted(p.atoms(x))], 2) != k:
+            return False, p.cell(x).named()
+    return True, None
+
+
+def test_mod2_parameter_test_matches_the_scan_over_every_cell():
+    rng = random.Random(13)
+    posets = [simplex_boundary(3), sphere_poset(3), _non_pure(),
+              sphere_product_poset(1, 2), _two_disjoint_edges(),
+              barycentric_subdivision(simplex_boundary(2))]
+    outcomes = set()
+    for p in posets:
+        for _ in range(40):
+            chi = _random_map(rng, p)
+            expected = _first_cell_failing_mod_2(p, chi)
+            assert cohomology._mod2_parameters_ok(p, chi) == expected
+            outcomes.add(expected[0])
+    assert outcomes == {True, False}
+    # a unimodular map never fails mod 2
+    for p, chi in realized_family().values():
+        assert cohomology._mod2_parameters_ok(p, chi) == (True, None)
 
 
 def test_sw_parity_requires_total_map(s4_poset):

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from torusfan.facering import (FaceRing, RingError, chain_monomial,
                                chain_monomial_basis, format_element,
-                               graded_dimension, hilbert_check,
+                               graded_dimension, graded_dimensions,
+                               hilbert_check,
                                lsop_from_lambda, monomial_degree, parse_element,
                                restriction_at_vertex, series_coefficient,
                                straighten_product, total_restriction,
-                               vertex_product)
+                               upper_covers, vertex_products)
 from torusfan.charfun import CharacteristicMap
 from torusfan.poset import (Cell, SimplicialPoset, simplex_boundary, sphere_poset,
                             sphere_product_poset)
@@ -167,13 +168,18 @@ def test_library_matches_random_order_oracle():
 
 
 def _vertex_products_match_straightening(poset):
-    """vertex_product against the general straightening for every vertex
+    """vertex_products against the general straightening for every vertex
     and every chain monomial of degree up to 2 * rank; returns the count."""
+    upper = upper_covers(poset)
     pairs = 0
     for k in range(poset.rank + 1):
         for m in chain_monomial_basis(poset, k):
+            got = {v: {} for v in poset.vertices()}
+            for v, mono in vertex_products(poset, m, upper):
+                assert mono not in got[v], (v, m)
+                got[v][mono] = 1
             for v in poset.vertices():
-                assert vertex_product(poset, v, m) == straighten_product(
+                assert got[v] == straighten_product(
                     poset, ((v, 1),), m), (v, m)
                 pairs += 1
     return pairs
@@ -333,6 +339,16 @@ def test_graded_dimension_matches_brute_force():
     for poset in (sphere_poset(2), simplex_boundary(2), sphere_poset(3)):
         for k in range(5):
             assert graded_dimension(poset, k) == _brute_force_monomial_count(poset, k)
+
+
+def test_graded_dimensions_share_one_count_across_degrees():
+    for poset in (sphere_poset(2), simplex_boundary(2), sphere_poset(3),
+                  sphere_product_poset(1, 1)):
+        dims = graded_dimensions(poset, 5)
+        assert dims == [graded_dimension(poset, k) for k in range(6)]
+        assert dims == [_brute_force_monomial_count(poset, k) for k in range(6)]
+    assert graded_dimensions(sphere_poset(2), -1) == []
+    assert graded_dimension(sphere_poset(2), -1) == 0
 
 
 def test_basis_matches_dimension():

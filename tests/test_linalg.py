@@ -146,6 +146,30 @@ def test_span_reduce_gives_the_canonical_residue(seed):
             assert span.reduce(moved) == residue, (p, mat)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_span_over_gf_p_matches_dense_oracle_with_non_monic_rows(seed):
+    # rows scaled so that their leading entries are rarely 1 mod p
+    rng = random.Random(seed)
+    leads = set()
+    for mat in random_matrices(seed)[len(EMPTY):]:
+        width = len(mat[0])
+        for p in PRIMES:
+            rows = [[rng.randint(2, 9) * v for v in row] for row in mat]
+            leads.update(next((v % p for v in row if v % p), 0) for row in rows)
+            span = _span(rows, p)
+            assert span.rank == dense_linalg._rank_mod_p(rows, p), (p, rows)
+            assert (set(span.rows)
+                    == dense_linalg.echelon_pivot_columns(rows, p)), (p, rows)
+            for c, row in span.rows.items():
+                assert min(row) == c and row[c] == 1, (p, rows)
+                assert all(0 < v < p for v in row.values()), (p, rows)
+            for _ in range(3):
+                u = [rng.randint(-9, 9) for _ in range(width)]
+                assert (span.reduce(dict(enumerate(u)))
+                        == dense_linalg.reduce_mod_p(rows, u, p)), (p, rows, u)
+    assert leads >= {2, 3, 4, 5, 6}
+
+
 def test_span_reduce_refused_over_q():
     span = linalg.Span(0)
     assert span.add({1: 2, 2: 1})

@@ -542,6 +542,16 @@ def test_link_of_triangle_vertex():
     assert link.f_vector() == (2,)
 
 
+def test_link_pass_builds_the_top_set_once_on_first_use():
+    p = sphere_poset(3)
+    assert p._top_set is None
+    p.link_rank(p.vertices()[0])
+    tops = p._top_set
+    assert tops == frozenset(p.tops())
+    p.link_rank(p.root)
+    assert p._top_set is tops
+
+
 def test_link_below_no_top_cell_is_refused():
     # a triangle boundary plus an isolated vertex 4: not pure
     cells = [Cell(0, 0, ())] + [Cell(v, 1, (0,)) for v in (1, 2, 3, 4)]
