@@ -25,13 +25,12 @@ vector pairing to 1 with the vector of v and to 0 with the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from operator import index, mul
 
 from . import linalg
-from .poset import TorusfanError
+from .poset import Record, TorusfanError
 from .polys import Poly, monomials_of_degree, restrict_to_hyperplane
 
 
@@ -272,12 +271,18 @@ def find_characteristic_map(poset, bound):
 # GKM graphs
 
 
-@dataclass(frozen=True)
-class GKMEdge:
-    id: int            # the rank n-1 element
-    ends: tuple        # (p, q) with p < q
-    labels: tuple      # (alpha at p, alpha at q)
-    sign: int          # labels[1] == sign * labels[0]
+class GKMEdge(Record):
+    """An edge of the GKM graph: ``id`` is the rank n-1 element, ``ends``
+    the tops (p, q) with p < q, ``labels`` (alpha at p, alpha at q) and
+    ``sign`` the scalar with labels[1] == sign * labels[0]."""
+
+    __slots__ = ("id", "ends", "labels", "sign")
+
+    def __init__(self, id, ends, labels, sign):
+        self.id = id
+        self.ends = ends
+        self.labels = labels
+        self.sign = sign
 
     def label_at(self, vertex):
         return self.labels[self.ends.index(vertex)]

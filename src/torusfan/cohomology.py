@@ -27,16 +27,24 @@ added row reduces to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .facering import (FaceRing, RingElement, chain_monomial_basis,
                        lsop_from_lambda, upper_covers, vertex_products)
-from .poset import TorusfanError
+from .poset import Record, TorusfanError
 
 
 class CohomologyError(TorusfanError):
     pass
+
+
+def _covered_vertices(poset, chi):
+    """The sorted vertices, once the characteristic map is known to give
+    each a vector."""
+    vertices = sorted(poset.vertices())
+    missing = [v for v in vertices if v not in chi.vectors]
+    if missing:
+        raise CohomologyError(f"characteristic map misses vertices {missing}")
+    return vertices
 
 
 def _quotient(poset, chi, char, kmax):
@@ -46,11 +54,7 @@ def _quotient(poset, chi, char, kmax):
     less the rows that the row criterion (module docstring) shows
     redundant; and the products behind those rows: per monomial m, one
     (column of v * m, chi(v), v) triple per term of each vertex product."""
-    vertices = sorted(poset.vertices())
-    missing = [v for v in vertices if v not in chi.vectors]
-    if missing:
-        raise CohomologyError(f"characteristic map misses vertices {missing}")
-    vectors = {v: chi.vec(v) for v in vertices}
+    vectors = {v: chi.vec(v) for v in _covered_vertices(poset, chi)}
     upper = upper_covers(poset)
     out = []
     since = {}  # pivot column one degree down -> the j whose rows made it
@@ -111,15 +115,18 @@ def graded_quotient_basis(poset, chi, char=0, kmax=None):
 # ring presentation
 
 
-@dataclass
-class RingPresentation:
+class RingPresentation(Record):
     """Generators v_x (one per poset element above the root, degree 2 rk x),
     straightening relations for incomparable pairs, and the linear
     relations of the characteristic map."""
 
-    generators: tuple      # (id, degree, label)
-    product_relations: tuple  # (x, y, rhs RingElement): v_x v_y = rhs
-    linear_relations: tuple   # RingElements
+    __slots__ = ("generators", "product_relations", "linear_relations")
+
+    def __init__(self, generators, product_relations, linear_relations):
+        self.generators = generators  # (id, degree, label)
+        # (x, y, rhs RingElement): v_x v_y = rhs
+        self.product_relations = product_relations
+        self.linear_relations = linear_relations  # RingElements
 
 
 def present_cohomology_ring(poset, chi):
@@ -173,13 +180,16 @@ def dehn_sommerville_check(h):
 # total characteristic class parity, mod 2
 
 
-@dataclass
-class SWParityReport:
-    applicable: bool
-    pairing: int = None      # coefficient of the socle class, 0 or 1
-    euler: int = None        # Euler characteristic mod 2
-    consistent: bool = None
-    note: str = ""
+class SWParityReport(Record):
+    __slots__ = ("applicable", "pairing", "euler", "consistent", "note")
+
+    def __init__(self, applicable, pairing=None, euler=None, consistent=None,
+                 note=""):
+        self.applicable = applicable
+        self.pairing = pairing  # coefficient of the socle class, 0 or 1
+        self.euler = euler      # Euler characteristic mod 2
+        self.consistent = consistent
+        self.note = note
 
 
 def _mod2_parameters_ok(poset, chi):
@@ -208,11 +218,12 @@ def sw_parity(poset, chi):
     n = poset.rank
     if n < 1 or not poset.is_pure():
         return SWParityReport(False, note="poset must be pure of rank >= 1")
-    quotient = _quotient(poset, chi, 2, n)
+    vertices = _covered_vertices(poset, chi)
     ok, where = _mod2_parameters_ok(poset, chi)
     if not ok:
         return SWParityReport(
             False, note=f"no linear system of parameters mod 2 (fails at {where})")
+    quotient = _quotient(poset, chi, 2, n)
 
     index, span, _ = quotient[n]
     top_dim = len(index) - span.rank
@@ -236,7 +247,7 @@ def sw_parity(poset, chi):
     # w = prod over vertices of (1 + v_i), one residue per degree; going
     # down in degree, w_k + v w_{k-1} still reads the old w_{k-1}
     w = [{0: 1}] + [{} for _ in range(n)]
-    for v in sorted(poset.vertices()):
+    for v in vertices:
         for k in range(n, 0, -1):
             acc = dict(w[k])
             for i, c in w[k - 1].items():

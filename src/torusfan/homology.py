@@ -47,24 +47,26 @@ factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
-from .poset import TorusfanError, barycentric_subdivision, max_rank_bound
+from .poset import (Record, TorusfanError, barycentric_subdivision,
+                    max_rank_bound)
 
 
 class HomologyError(TorusfanError):
     pass
 
 
-@dataclass
-class ChainComplex:
+class ChainComplex(Record):
     """Reduced cell chain complex: boundaries[d] maps d-cells to (d-1)-cells,
     with the empty cell as the single (-1)-cell."""
 
-    rank: int
-    cells: tuple          # cells[d] = ids of the rank-(d+1) elements, sorted
-    boundaries: tuple     # boundaries[d]: rows = (d-1)-cells, cols = d-cells
+    __slots__ = ("rank", "cells", "boundaries")
+
+    def __init__(self, rank, cells, boundaries):
+        self.rank = rank
+        self.cells = cells  # cells[d] = ids of the rank-(d+1) elements, sorted
+        # boundaries[d]: rows = (d-1)-cells, cols = d-cells
+        self.boundaries = boundaries
 
     def dims(self):
         return tuple(len(c) for c in self.cells)
@@ -125,16 +127,18 @@ def cell_chain_complex(poset):
     return ChainComplex(n, tuple(cells), tuple(boundaries))
 
 
-@dataclass
-class HomologyGroups:
+class HomologyGroups(Record):
     """Reduced homology, one (betti, torsion) pair per dimension.
 
     ``groups`` maps dimension to (betti rank, invariant-factor torsion
     tuple); dimension -1 appears only for the empty complex.
     """
 
-    rank: int
-    groups: dict
+    __slots__ = ("rank", "groups")
+
+    def __init__(self, rank, groups):
+        self.rank = rank
+        self.groups = groups
 
     def betti(self, d):
         return self.groups.get(d, (0, ()))[0]
@@ -250,10 +254,12 @@ def _links(poset):
 # ring-theoretic verdicts
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    witnesses: list
+class Verdict(Record):
+    __slots__ = ("ok", "witnesses")
+
+    def __init__(self, ok, witnesses):
+        self.ok = ok
+        self.witnesses = witnesses
 
     def __bool__(self):
         return self.ok

@@ -8,13 +8,31 @@ cells are identified by ids rather than vertex sets.
 
 An element of rank k corresponds to a (k-1)-dimensional cell; the rank-1
 elements are the vertices.  ``atoms(x)`` is the vertex set of the cell x.
+
+Validation decides the boolean lower intervals with three counts per cell
+x of rank k, once the first pass has checked that every x of rank k >= 1
+covers exactly k distinct elements of rank k - 1 and that 0-hat is the
+one element of rank 0: |atoms(x)| = k, |[0-hat, x]| = 2^k, and the k
+covers of x have pairwise distinct atom sets.  Every cell passes these
+exactly when every lower interval is boolean.  A boolean interval passes
+them.  Conversely, by induction on k: each cover y of x has a boolean
+interval with k - 1 atoms, so the k distinct atom sets of the covers are
+all the (k-1)-subsets of atoms(x).  Every proper subset of atoms(x) lies
+in one of them, so it is the atom set of an element below that cover;
+every element below x lies below a cover, so its atom set is proper.
+By the second count, the 2^k - 1 elements below x carry the 2^k - 1
+proper subsets one to one, x carries atoms(x), and u <= w exactly when
+atoms(u) is a subset of atoms(w).  The third count is needed: a rank-3
+cell x over the edges {a, b}, {a, b}' and {b, c} has three atoms and
+eight elements in [0-hat, x], yet two of them share the vertex set
+{a, b}.  Only a table that fails the counts is walked segment by
+segment, to name what fails.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from math import comb
 
 DEFAULT_MAX_RANK = 8
@@ -49,12 +67,39 @@ def max_rank_bound():
             f"TORUSFAN_MAX_RANK must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    rank: int
-    covers: tuple
-    label: str = None
+class Record:
+    """A plain record: its fields are its ``__slots__``, in order, and its
+    repr, == and hash read them as a frozen dataclass's would."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Cell(Record):
+    """One element of a cell table: its id, rank, the ids it covers and an
+    optional label.  Never changed once built."""
+
+    __slots__ = ("id", "rank", "covers", "label")
+
+    def __init__(self, id, rank, covers, label=None):
+        self.id = id
+        self.rank = rank
+        self.covers = covers
+        self.label = label
 
     def named(self):
         return self.label if self.label is not None else f"#{self.id}"
@@ -128,7 +173,29 @@ def _validate(rank, cells):
         return problems, None
 
     lower = _lower_sets(table.values())
-    downsets, atoms = lower
+    if not _boolean_counts(table.values(), *lower):
+        problems = _segment_violations(table, *lower)
+    return problems, lower
+
+
+def _boolean_counts(cells, downsets, atoms):
+    """Whether every cell x of rank k has k atoms, 2^k elements below it
+    and covers with pairwise distinct atom sets: for a table that passed
+    the first pass of ``_validate``, whether every lower interval is
+    boolean (module docstring)."""
+    atom_set = atoms.__getitem__
+    for c in cells:
+        k = c.rank
+        x = c.id
+        if (len(atoms[x]) != k or len(downsets[x]) != 1 << k
+                or len(set(map(atom_set, c.covers))) != k):
+            return False
+    return True
+
+
+def _segment_violations(table, downsets, atoms):
+    """The non-boolean lower segments, found by walking each segment."""
+    problems = []
     for c in table.values():
         k = c.rank
         if len(atoms[c.id]) != k:
@@ -159,7 +226,7 @@ def _validate(rank, cells):
                     f"({by_rank_count.get(j, 0)} elements of rank {j}, "
                     f"expected {comb(k, j)})")
                 break
-    return problems, lower
+    return problems
 
 
 class SimplicialPoset:
@@ -697,11 +764,37 @@ def to_json_dict(p):
     return {"rank": p.rank, "cells": cells}
 
 
+def _wire_cells(raws):
+    """The cells of a wire-form cell table, or None unless every entry has
+    exactly the type it needs.  The types are gathered into sets, over the
+    cells and then over the cover entries, and compared with the expected
+    ones, so no cell is checked on its own."""
+    if not set(map(type, raws)) <= {dict}:
+        return None
+    try:
+        kinds = {(type(r["id"]), type(r["rank"]), type(r["covers"]),
+                  type(r.get("label", ""))) for r in raws}
+    except KeyError:
+        return None
+    if not kinds <= {(int, int, list, str)}:
+        return None
+    entries = itertools.chain.from_iterable(r["covers"] for r in raws)
+    if not set(map(type, entries)) <= {int}:
+        return None
+    return [Cell(r["id"], r["rank"], tuple(r["covers"]), r.get("label"))
+            for r in raws]
+
+
 def from_json_dict(data):
     if not isinstance(data, dict) or "rank" not in data or "cells" not in data:
         raise ValueError("poset JSON needs 'rank' and 'cells'")
     if type(data["rank"]) is not int or not isinstance(data["cells"], list):
         raise ValueError("poset JSON field types are wrong")
+    cells = _wire_cells(data["cells"])
+    if cells is not None:
+        return SimplicialPoset(data["rank"], cells)
+    # name the first bad cell (or accept the dict and list subclasses that
+    # the type pass leaves to this loop)
     cells = []
     for raw in data["cells"]:
         try:

@@ -17,13 +17,12 @@ characteristic map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 from .charfun import find_characteristic_map
 from .cohomology import dehn_sommerville_check
 from .homology import gorenstein_star
-from .poset import (TorusfanError, connected_sum, simplex_boundary,
+from .poset import (Record, TorusfanError, connected_sum, simplex_boundary,
                     sphere_poset, sphere_product_poset)
 
 CASE1 = "case1-odd-n"
@@ -100,15 +99,17 @@ def admissible(target):
     return INADMISSIBLE
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """A building block of rank n: 'cpn' (boundary of the n-simplex),
     'sphere' (two glued simplices), or 'sphere_product' (join of two
     spheres of ranks k and n-k)."""
 
-    kind: str
-    n: int
-    k: int = 0
+    __slots__ = ("kind", "n", "k")
+
+    def __init__(self, kind, n, k=0):
+        self.kind = kind
+        self.n = n
+        self.k = k
 
     def build(self):
         if self.kind == "cpn":
@@ -131,10 +132,12 @@ class Block:
         return tuple(interior)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    n: int
-    blocks: tuple
+class BlockDecomposition(Record):
+    __slots__ = ("n", "blocks")
+
+    def __init__(self, n, blocks):
+        self.n = n
+        self.blocks = blocks
 
     def target_h(self):
         interior = [0] * (self.n - 1)
@@ -207,18 +210,22 @@ def realize_decomposition(decomposition, bound=2):
     return poset, chi
 
 
-@dataclass
-class Realization:
-    verdict: str
-    decomposition: BlockDecomposition
-    poset: object
-    chi: object
+class Realization(Record):
+    __slots__ = ("verdict", "decomposition", "poset", "chi")
+
+    def __init__(self, verdict, decomposition, poset, chi):
+        self.verdict = verdict
+        self.decomposition = decomposition
+        self.poset = poset
+        self.chi = chi
 
 
-@dataclass
-class Refusal:
-    stage: str   # malformed | inadmissible | search-bound-exhausted
-    detail: str
+class Refusal(Record):
+    __slots__ = ("stage", "detail")
+
+    def __init__(self, stage, detail):
+        self.stage = stage  # malformed | inadmissible | search-bound-exhausted
+        self.detail = detail
 
 
 def realize_with_lambda(entries, bound=2):

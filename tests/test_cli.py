@@ -283,6 +283,30 @@ def test_non_integer_poset_fields_exit_two(capsys, tmp_path, cell):
         assert code == 2 and "bad.json" in report["error"]
 
 
+@pytest.mark.parametrize("cell, reason", [
+    ({"id": True, "rank": 1, "covers": [0]},
+     "id, rank and covers entries must be integers"),
+    ({"id": 1, "rank": 1, "covers": [0.0]},
+     "id, rank and covers entries must be integers"),
+    ({"id": 1, "rank": 1, "covers": [0], "label": 7}, "label must be a string"),
+    ([1, 1, [0]], "a cell must be an object"),
+    ({"id": 1, "rank": 1, "covers": "0"}, "covers must be a list"),
+    ({"id": 1, "covers": [0]}, "'rank'")])
+def test_bad_cell_types_name_the_first_bad_cell(capsys, tmp_path, cell,
+                                                reason):
+    # the cell after the bad one is bad too; only the first is named
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": 1, "cells": [
+        {"id": 0, "rank": 0, "covers": []}, cell,
+        {"id": 2, "rank": 1, "covers": ["0"], "label": None}]}))
+    for command in ("poset-validate", "homology"):
+        assert cli.main([command, str(path)]) == 2
+        assert capsys.readouterr().out == json.dumps(
+            {"config": {"seed": 0},
+             "error": f"{path}: bad cell entry {cell!r}: {reason}"},
+            indent=2) + "\n"
+
+
 @pytest.mark.parametrize("command", ["charfun-check", "gkm-report", "betti",
                                      "present-ring", "sw-parity"])
 @pytest.mark.parametrize("vectors", [{"1": [1, 0], "2": [0, 1, 0]},
@@ -395,6 +419,16 @@ def test_main_shares_one_parser_across_calls(capsys, monkeypatch, tmp_path,
     assert shared == _run_all(capsys, argvs, out)
     assert {code for _, code, _, _ in shared} == {0, 1, 2}
     assert sum(written is not None for *_, written in shared) == 6
+
+
+def test_import_leaves_out_dataclasses():
+    src = os.path.dirname(os.path.dirname(torusfan.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, torusfan.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

@@ -371,6 +371,31 @@ def test_sw_parity_names_the_cell_that_fails_mod_2():
     assert report.note == "no linear system of parameters mod 2 (fails at 12)"
 
 
+def test_sw_parity_refuses_mod_2_before_building_the_quotient(monkeypatch):
+    calls = []
+    real = cohomology._quotient
+    monkeypatch.setattr(cohomology, "_quotient",
+                        lambda *a: calls.append(a) or real(*a))
+    p = simplex_boundary(2)
+    chi = CharacteristicMap(2, {1: (1, 1), 2: (1, -1), 3: (1, 0)})
+    assert sw_parity(p, chi) == cohomology.SWParityReport(
+        False, note="no linear system of parameters mod 2 (fails at 12)")
+    # a realized map with one vertex vector moved to agree mod 2 with another
+    p, chi = realized_family([(1, 1, 1, 1)])[(1, 1, 1, 1)]
+    v, w = p.vertices()[:2]
+    moved = dict(chi.vectors)
+    moved[v] = tuple(a + 2 * b for a, b in zip(chi.vec(w), (1,) + (0,) * 2))
+    moved = CharacteristicMap(3, moved)
+    ok, where = cohomology._mod2_parameters_ok(p, moved)
+    assert not ok
+    assert sw_parity(p, moved) == cohomology.SWParityReport(
+        False, note=f"no linear system of parameters mod 2 (fails at {where})")
+    with pytest.raises(CohomologyError, match="misses vertices"):
+        sw_parity(p, CharacteristicMap(3, {v: chi.vec(v)}))
+    assert not calls
+    assert sw_parity(p, chi).applicable and len(calls) == 1
+
+
 def _first_cell_failing_mod_2(p, chi):
     """Every cell in order, with a rank over GF(2) for each."""
     for x in p.elements():

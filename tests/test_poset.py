@@ -17,6 +17,10 @@ from torusfan.poset import (Cell, PosetError, RankBoundError, SimplicialPoset,
 from conftest import builder_family, random_gluing, random_surgery, s4_cells
 
 
+SURGERIES = st.sampled_from(["base", "join", "connected_sum", "stellar",
+                             "barycentric"])
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -144,6 +148,115 @@ def test_validated_load_builds_lower_sets_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _walk_oracle(rank, cells):
+    """The violations with every lower segment walked: the first pass's,
+    else those of the segment walk, whatever the counts decide."""
+    problems, lower = poset_mod._validate(rank, cells)
+    if lower is None:
+        return problems
+    return poset_mod._segment_violations({c.id: c for c in cells}, *lower)
+
+
+def _mutate(rng, p, kind):
+    """A cell table of p with one seeded mutation: a dropped cover, a cover
+    retargeted to another element of its rank, or an edge doubled and put
+    beside or in place of its original under a cell above it."""
+    cells = list(p.cells.values())
+    above = [c for c in cells if c.rank >= 2]
+    if not above:
+        return cells
+    c = rng.choice(above)
+    i = cells.index(c)
+    j = rng.randrange(len(c.covers))
+    if kind == "drop":
+        cells[i] = Cell(c.id, c.rank, c.covers[:j] + c.covers[j + 1:], c.label)
+    elif kind == "retarget":
+        others = [y for y in p.by_rank(c.rank - 1) if y not in c.covers]
+        if others:
+            covers = list(c.covers)
+            covers[j] = rng.choice(others)
+            cells[i] = Cell(c.id, c.rank, tuple(covers), c.label)
+    else:  # "double": a copy of an edge below c, standing in for a cover
+        edges = [y for y in p.downset(c.id) if p.rank_of(y) == 2]
+        if edges and c.rank >= 3:
+            e = p.cell(rng.choice(edges))
+            twin = max(p.cells) + 1
+            cells.append(Cell(twin, 2, e.covers, "twin"))
+            top = rng.choice([u for u in cells if u.rank == 3
+                              and e.id in p.downset(u.id)])
+            k = top.covers.index(e.id) if rng.random() < 0.5 else \
+                rng.randrange(3)
+            covers = list(top.covers)
+            covers[k] = twin
+            cells[cells.index(top)] = Cell(top.id, 3, tuple(covers), top.label)
+    return cells
+
+
+COUNTEREXAMPLE = [Cell(0, 0, ()),
+                  Cell(1, 1, (0,)), Cell(2, 1, (0,)), Cell(3, 1, (0,)),
+                  Cell(4, 2, (1, 2)), Cell(5, 2, (1, 2)), Cell(6, 2, (2, 3)),
+                  Cell(7, 3, (4, 5, 6))]
+
+
+def test_counts_need_distinct_cover_atom_sets():
+    # three atoms and eight elements below the rank-3 cell, yet not boolean
+    downsets, atoms = poset_mod._lower_sets(COUNTEREXAMPLE)
+    assert len(atoms[7]) == 3 and len(downsets[7]) == 8
+    assert not poset_mod._boolean_counts(COUNTEREXAMPLE, downsets, atoms)
+    assert poset_violations(3, COUNTEREXAMPLE) == _walk_oracle(
+        3, COUNTEREXAMPLE) == ["#7: non-boolean lower segment (two faces "
+                               "share a vertex set)"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), SURGERIES,
+       st.sampled_from(["drop", "retarget", "double"]))
+def test_counts_decide_as_the_segment_walk(seed, op, kind):
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    cells = _mutate(rng, p, kind)
+    assert poset_violations(p.rank, cells) == _walk_oracle(p.rank, cells)
+    problems, lower = poset_mod._validate(p.rank, cells)
+    if lower is not None:
+        assert poset_mod._boolean_counts(cells, *lower) == (not problems)
+
+
+def test_mutations_reach_both_verdicts_of_the_walk():
+    # the property above is not vacuous: its mutations give tables that
+    # pass the first pass and then pass or fail the walk
+    verdicts = set()
+    rng = random.Random(7)
+    for _ in range(200):
+        p = random_surgery(rng, rng.choice(["base", "join", "barycentric"]))
+        cells = _mutate(rng, p, rng.choice(["retarget", "double"]))
+        problems, lower = poset_mod._validate(p.rank, cells)
+        if lower is not None:
+            verdicts.add(not problems)
+    assert verdicts == {True, False}
+
+
+def test_valid_loads_never_walk_a_segment(monkeypatch):
+    walks = []
+    real = poset_mod._segment_violations
+    monkeypatch.setattr(poset_mod, "_segment_violations",
+                        lambda *a: walks.append(1) or real(*a))
+    rng = random.Random(11)
+    for op in ["base", "join", "connected_sum", "stellar", "barycentric"] * 8:
+        p = random_surgery(rng, op)
+        from_json_dict(to_json_dict(p))
+        SimplicialPoset(p.rank, p.cells.values())
+    assert not walks
+    assert poset_violations(3, COUNTEREXAMPLE) and len(walks) == 1
+
+
+def test_cells_are_plain_records():
+    c = Cell(3, 2, (1, 2), "G")
+    assert repr(c) == "Cell(id=3, rank=2, covers=(1, 2), label='G')"
+    assert c == Cell(3, 2, (1, 2), "G") != Cell(3, 2, (1, 2))
+    assert hash(c) == hash((3, 2, (1, 2), "G"))
+    assert Cell(1, 1, (0,)).label is None and not hasattr(c, "__dict__")
+
+
 # ---------------------------------------------------------------------------
 # meets and joins
 
@@ -172,10 +285,6 @@ def test_meet_join_idempotent():
 
 def _upsets_oracle(p):
     return {x: frozenset(y for y in p.cells if p.leq(x, y)) for x in p.cells}
-
-
-SURGERIES = st.sampled_from(["base", "join", "connected_sum", "stellar",
-                             "barycentric"])
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -161,6 +161,17 @@ def test_realized_posets_pass_all_verdicts():
         assert dehn_sommerville_check(p.h_vector())
 
 
+def test_records_keep_repr_eq_and_hash():
+    assert repr(Block("sphere_product", 4, 1)) == \
+        "Block(kind='sphere_product', n=4, k=1)"
+    assert {Block("cpn", 2): 1}[Block("cpn", 2, 0)] == 1
+    assert decompose(HVectorTarget([1, 2, 1])) == BlockDecomposition(
+        2, (Block("sphere_product", 2, 1),))
+    assert repr(realize_with_lambda([1, 0, 1, 0, 1])) == (
+        "Refusal(stage='inadmissible', detail='even rank with odd middle "
+        "entry and a zero entry')")
+
+
 def test_search_bound_refusal_keeps_its_detail():
     out = realize_with_lambda([1, 1, 1], bound=0)
     assert out == Refusal("search-bound-exhausted",
