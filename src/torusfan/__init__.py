@@ -6,18 +6,16 @@ realization of admissible h-vectors by connected sums.
 """
 
 from .poset import (Cell, PosetError, RankBoundError, SimplicialPoset,
-                    TorusfanError, are_isomorphic, barycentric_subdivision,
-                    connected_sum, from_json_dict, join, point_poset,
-                    poset_violations, simplex_boundary, simplex_poset,
-                    sphere_poset, sphere_product_poset, stellar_subdivision,
-                    to_json_dict)
+                    TorusfanError, barycentric_subdivision, connected_sum,
+                    from_json_dict, join, point_poset, poset_violations,
+                    simplex_boundary, simplex_poset, sphere_poset,
+                    sphere_product_poset, stellar_subdivision, to_json_dict)
 from .facering import (FaceRing, RingElement, RingError, chain_monomial,
                        chain_monomial_basis, format_element,
                        graded_dimension, graded_dimensions, hilbert_check,
                        lsop_from_lambda, parse_element, restriction_at_vertex,
                        straighten_product, total_restriction)
-from .homology import (cell_chain_complex, cohen_macaulay, euler_sphere_check,
-                       gorenstein_star, gorenstein_star_subdivided,
+from .homology import (cohen_macaulay, euler_sphere_check, gorenstein_star,
                        link_verdicts, pseudomanifold, reduced_homology,
                        torsion_free_links)
 from .linalg import smith_normal_form

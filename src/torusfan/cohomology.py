@@ -156,16 +156,14 @@ def present_cohomology_ring(poset, chi):
             if above_x.isdisjoint(above[y]):
                 relations.append((x, y, zero))
                 continue
-            # uncached: each pair is visited once, and the poset's caches
-            # would keep every answer for its lifetime.  Below a common
-            # upper bound the interval is boolean, so the meet is the one
-            # common lower bound with the common vertices.
+            # below a common upper bound the interval is boolean, so the
+            # meet is the one common lower bound with the common vertices
             r = len(atoms_x & poset.atoms(y))
             if r:
                 m = next(w for w in down[x] & down[y] if poset.rank_of(w) == r)
-                terms = {((m, 1), (z, 1)): 1 for z in poset._join_set(x, y)}
+                terms = {((m, 1), (z, 1)): 1 for z in poset.join_set(x, y)}
             else:
-                terms = {((z, 1),): 1 for z in poset._join_set(x, y)}
+                terms = {((z, 1),): 1 for z in poset.join_set(x, y)}
             relations.append((x, y, RingElement(ring, terms)))
     linear = tuple(lsop_from_lambda(ring, chi))
     return RingPresentation(gens, tuple(relations), linear)

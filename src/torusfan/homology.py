@@ -48,28 +48,11 @@ factors.
 from __future__ import annotations
 
 from . import linalg
-from .poset import (Record, TorusfanError, barycentric_subdivision,
-                    max_rank_bound)
+from .poset import Record, TorusfanError, max_rank_bound
 
 
 class HomologyError(TorusfanError):
     pass
-
-
-class ChainComplex(Record):
-    """Reduced cell chain complex: boundaries[d] maps d-cells to (d-1)-cells,
-    with the empty cell as the single (-1)-cell."""
-
-    __slots__ = ("rank", "cells", "boundaries")
-
-    def __init__(self, rank, cells, boundaries):
-        self.rank = rank
-        self.cells = cells  # cells[d] = ids of the rank-(d+1) elements, sorted
-        # boundaries[d]: rows = (d-1)-cells, cols = d-cells
-        self.boundaries = boundaries
-
-    def dims(self):
-        return tuple(len(c) for c in self.cells)
 
 
 class _Boundary(dict):
@@ -108,23 +91,6 @@ def _check_square_zero(boundary):
                 image[w] = image.get(w, 0) + a * b
         if any(image.values()):
             raise HomologyError("boundary of boundary is nonzero")
-
-
-def cell_chain_complex(poset):
-    """Reduced chain complex of the simplicial cell complex of the poset."""
-    boundary = _signed_boundary(poset)
-    n = poset.rank
-    cells = [tuple(poset.by_rank(d + 1)) for d in range(n)]
-    boundaries = []
-    for d in range(n):
-        rows = cells[d - 1] if d else (poset.root,)
-        row_index = {y: i for i, y in enumerate(rows)}
-        mat = [[0] * len(cells[d]) for _ in rows]
-        for j, x in enumerate(cells[d]):
-            for y, sign in boundary[x].items():
-                mat[row_index[y]][j] = sign
-        boundaries.append(mat)
-    return ChainComplex(n, tuple(cells), tuple(boundaries))
 
 
 class HomologyGroups(Record):
@@ -316,16 +282,6 @@ def gorenstein_star(poset):
     witnesses = [f"link of {poset.cell(x).named()} does not have the homology "
                  f"of S^{d}"
                  for x, d, hom in _links(poset) if not hom.is_sphere(d)]
-    return Verdict(not witnesses, witnesses)
-
-
-def gorenstein_star_subdivided(poset, force=False):
-    """The defining form of the Gorenstein* test, applied literally to the
-    barycentric subdivision.  Exponentially larger than gorenstein_star;
-    kept as the oracle the fast version is checked against."""
-    sd = barycentric_subdivision(poset, force=force)
-    witnesses = [f"sd link of {sd.cell(x).named()} is not S^{d}"
-                 for x, d, hom in _links(sd) if not hom.is_sphere(d)]
     return Verdict(not witnesses, witnesses)
 
 

@@ -4,22 +4,22 @@ Matrices are lists of equal-length lists of Python ints.  A field is named
 by its characteristic: 0 for Q, a prime p for GF(p); ``check_char`` is the
 one place that decides which values are valid, and every entry point of
 the package that takes a ``char`` calls it (where the integers are
-allowed, None stands for them and is not passed to it).  One sparse
-kernel eliminates: rows are {column: value} dicts, and a ``Span`` inserts
-them one at a time into an echelon form keyed by leading column, over
-GF(p) with every row scaled to leading coefficient 1 (so clearing a
-column needs no inverse), or fraction-free over the integers; ``rank``
-and ``invert_unimodular`` are built on it.  Smith normal form (``_snf`` on
-sparse rows; ``smith_normal_form`` on a dense matrix) first removes +-1
-pivots by unimodular row steps and pivots densely only on the block left
-over (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
-Dumas-Saunders-Villard, JSC 2001).  The homology code calls ``_snf`` only
-on what its coreductions leave, which for the realized spheres is
-nothing; the characteristic-map checks call ``smith_normal_form``.
+allowed, None stands for them and is not passed to it).  Rows are sparse
+{column: value} dicts throughout.  A ``Span`` inserts them one at a time
+into an echelon form keyed by leading column, over GF(p) with every row
+scaled to leading coefficient 1 (so clearing a column needs no inverse),
+or fraction-free over the integers; ``rank`` and ``invert_unimodular`` are
+built on it.  Smith normal form is one sparse kernel, ``_snf``: least-entry
+pivots with row and column steps down to remainders, and gcd/lcm on the
+diagonal (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
+Dumas-Saunders-Villard, JSC 2001).  The homology code calls it on what its
+coreductions leave; the characteristic-map checks call
+``smith_normal_form``, its dense-matrix front end.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import index
 
@@ -171,71 +171,6 @@ class Span:
         return self._residue(row, True)
 
 
-def _dense_snf(a):
-    """Smith normal form of a dense matrix by smallest-entry pivoting, in place."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    factors = []
-    t = 0
-    while t < min(m, n):
-        pi, best = -1, 0
-        pj = -1
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best == 0 or v < best):
-                    best, pi, pj = v, i, j
-        if best == 0:
-            break
-        a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        rt = a[t]
-                        ri = a[i]
-                        for j in range(t, n):
-                            ri[j] -= q * rt[j]
-            i0 = next((i for i in range(t + 1, m) if a[i][t]), -1)
-            if i0 >= 0:
-                # the remainder is smaller than the pivot; promote it
-                a[t], a[i0] = a[i0], a[t]
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-            j0 = next((j for j in range(t + 1, n) if a[t][j]), -1)
-            if j0 >= 0:
-                for row in a:
-                    row[t], row[j0] = row[j0], row[t]
-                continue
-            bad = -1
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad >= 0:
-                    break
-            if bad < 0:
-                break
-            # force divisibility: mixing in the offending row shrinks the pivot
-            rb = a[bad]
-            rt = a[t]
-            for j in range(t, n):
-                rt[j] += rb[j]
-        factors.append(abs(a[t][t]))
-        t += 1
-    return factors, len(factors)
-
-
 def smith_normal_form(mat):
     """Invariant factors (d1 | d2 | ...) and rank of an integer matrix.
 
@@ -248,27 +183,90 @@ def smith_normal_form(mat):
 
 
 def _snf(rows):
-    """Invariant factors and rank of the matrix with the given sparse rows
-    {column: int}; columns may be any sortable keys."""
-    # A +-1 pivot splits off a factor 1 (row steps clear its column, column
-    # steps its row).  Pivot rows miss earlier pivots' columns, so one sweep
-    # in pivot order clears a row; a new pivot sends leftover rows back.
-    units, left, todo = {}, [], list(rows)
-    while todo:
-        r = todo.pop()
-        for c, q in units.items():
-            if c in r:
-                r = _clear(r, q, c)
-        c = next((c for c, v in r.items() if v == 1 or v == -1), None)
-        if c is not None:
-            units[c] = r
-            todo.extend(left)
-            left.clear()
-        elif r:
-            left.append(r)
-    cols = sorted({c for r in left for c in r})
-    factors, r = _dense_snf([[row.get(c, 0) for c in cols] for row in left])
-    return [1] * len(units) + factors, len(units) + r
+    """Invariant factors (d1 | d2 | ...) and rank of the matrix with the
+    given sparse rows {column: int}; columns may be any hashable keys.
+
+    The pivot is an entry of least |value| in the row that a heap ranks
+    first by (least |entry|, length); a row's key is checked again when
+    it comes off the heap.  Row steps take the pivot's column in the other
+    rows down to remainders, and the least nonzero one, being smaller,
+    becomes the pivot.  Once the column is the pivot row's alone, column
+    steps reduce the row's other entries mod the pivot, touching no other
+    row; again a nonzero remainder becomes the pivot.  A row left with one
+    entry gives one diagonal entry and is dropped.
+
+    >>> _snf([{0: 4}, {1: 6}]), _snf([{0: 2, 1: 3}])
+    (([2, 12], 2), ([1], 1))
+    """
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}  # the input is kept
+    holders = {}  # column: ids of the rows that may hold it, stale ones too
+    for i, r in rows.items():
+        for c in r:
+            holders.setdefault(c, []).append(i)
+    queue = [(min(map(abs, r.values())), len(r), i) for i, r in rows.items()]
+    heapify(queue)
+    diagonal = []
+    while queue:
+        i = heappop(queue)[2]
+        r = rows.get(i)
+        if r is None:
+            continue
+        if queue:
+            key = (min(map(abs, r.values())), len(r), i)
+            if key > queue[0]:  # row steps have changed the row
+                heappush(queue, key)
+                continue
+        top = i
+        c = min(r, key=lambda k: abs(r[k]))
+        while True:
+            p = r[c]
+            rest = []
+            for j in holders[c]:
+                s = rows.get(j)
+                if j == i or s is None or c not in s:
+                    continue
+                f = s[c] // p
+                if f:
+                    for k, v in r.items():
+                        if k in s:
+                            w = s[k] - f * v
+                            if w:
+                                s[k] = w
+                            else:
+                                del s[k]
+                        else:
+                            s[k] = -f * v
+                            holders[k].append(j)
+                    if c not in s:
+                        if not s:
+                            del rows[j]
+                        continue
+                rest.append(j)
+            if rest:
+                holders[c] = rest + [i]
+                i = min(rest, key=lambda j: abs(rows[j][c]))
+                r = rows[i]
+                continue
+            holders[c] = [i]
+            if p == 1 or p == -1:  # every column step leaves 0
+                break
+            left = {k: w for k, v in r.items() if k != c and (w := v % p)}
+            if not left:
+                break
+            rows[i] = r = {c: p, **left}
+            c = min(left, key=lambda k: abs(left[k]))
+        del rows[i]
+        diagonal.append(abs(p))
+        if top in rows:  # the pivot moved on from it
+            r = rows[top]
+            heappush(queue, (min(map(abs, r.values())), len(r), top))
+    # pairwise gcd and lcm turn the diagonal into the divisibility chain
+    chain = [d for d in diagonal if d > 1]
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] // g * chain[b]
+    return [1] * (len(diagonal) - len(chain)) + chain, len(diagonal)
 
 
 def rank(mat, char=0):

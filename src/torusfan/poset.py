@@ -240,7 +240,7 @@ class SimplicialPoset:
     """
 
     __slots__ = ("rank", "cells", "root", "_downsets", "_upsets", "_atoms",
-                 "_by_rank", "_top_set", "_join_cache", "_meet_cache")
+                 "_by_rank", "_top_set")
 
     def __init__(self, rank, cells):
         cells = tuple(cells)
@@ -272,8 +272,6 @@ class SimplicialPoset:
         self._by_rank = tuple(tuple(sorted(ids)) for ids in by_rank)
         self.root = self._by_rank[0][0]
         self._top_set = None  # built on the first _pure_link_rank() call
-        self._join_cache = {}
-        self._meet_cache = {}
 
     def _lower(self):
         """(downsets, atom sets), built on the first call for a trusted
@@ -366,14 +364,6 @@ class SimplicialPoset:
         both x and y; an upper bound has at least those vertices, so none
         of that rank has another bound below it.
         """
-        key = (x, y) if x <= y else (y, x)
-        hit = self._join_cache.get(key)
-        if hit is None:
-            hit = self._join_cache[key] = self._join_set(x, y)
-        return hit
-
-    def _join_set(self, x, y):
-        """``join_set`` without the cache, for one-off sweeps over pairs."""
         down, atoms = self._lower()
         rank = len(atoms[x] | atoms[y])
         return tuple(z for z in self.by_rank(rank)
@@ -384,13 +374,6 @@ class SimplicialPoset:
 
         Uniqueness is guaranteed whenever ``join_set(x, y)`` is non-empty.
         """
-        key = (x, y) if x <= y else (y, x)
-        if key not in self._meet_cache:
-            self._meet_cache[key] = self._meet(x, y)
-        return self._meet_cache[key]
-
-    def _meet(self, x, y):
-        """``meet`` without the cache, for one-off sweeps over pairs."""
         down = self._lower()[0]
         common = down[x] & down[y]
         maximal = [z for z in common
@@ -701,51 +684,6 @@ def stellar_subdivision(p, x):
     if out.euler_characteristic() != p.euler_characteristic():
         raise PosetError(["stellar subdivision changed the Euler characteristic"])
     return out
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def are_isomorphic(p1, p2):
-    """Backtracking poset isomorphism test (intended for small posets)."""
-    if p1.rank != p2.rank or len(p1) != len(p2):
-        return False
-    for k in range(p1.rank + 1):
-        if len(p1.by_rank(k)) != len(p2.by_rank(k)):
-            return False
-    cocovers1 = {x: [] for x in p1.cells}
-    cocovers2 = {x: [] for x in p2.cells}
-    for c in p1.cells.values():
-        for d in c.covers:
-            cocovers1[d].append(c.id)
-    for c in p2.cells.values():
-        for d in c.covers:
-            cocovers2[d].append(c.id)
-    # map top-down so every element is constrained by its mapped cocovers
-    order = sorted(p1.cells, key=lambda x: (-p1.rank_of(x), x))
-    mapping = {}
-    used = set()
-
-    def extend(idx):
-        if idx == len(order):
-            return True
-        x = order[idx]
-        need = {mapping[z] for z in cocovers1[x]}
-        for y in p2.by_rank(p1.rank_of(x)):
-            if y in used or len(cocovers2[y]) != len(cocovers1[x]):
-                continue
-            if set(cocovers2[y]) & used != need:
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend(idx + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

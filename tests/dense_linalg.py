@@ -1,14 +1,49 @@
 """Dense exact linear algebra: the reference implementations that the
-tests check ``torusfan.linalg`` against.
+tests check ``torusfan.linalg`` and ``torusfan.homology`` against.
 
 Smith normal form by smallest-entry pivoting, Gauss-Jordan rank over Q
-(with ``Fraction``) and over GF(p), row-space pivot columns, and the
-``Fraction`` inverse of a unimodular matrix.  Slow and plain on purpose.
+(with ``Fraction``) and over GF(p), row-space pivot columns, the
+``Fraction`` inverse of a unimodular matrix, and the dense boundary
+matrices of a poset's cell chain complex.  Slow and plain on purpose.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from torusfan.homology import _signed_boundary
+
+
+class ChainComplex:
+    """Reduced cell chain complex: ``boundaries[d]`` maps d-cells (the
+    columns) to (d-1)-cells (the rows), with the empty cell as the single
+    (-1)-cell; ``cells[d]`` holds the ids of the rank-(d+1) elements."""
+
+    def __init__(self, rank, cells, boundaries):
+        self.rank = rank
+        self.cells = cells
+        self.boundaries = boundaries
+
+    def dims(self):
+        return tuple(len(c) for c in self.cells)
+
+
+def cell_chain_complex(poset):
+    """The reduced chain complex of the poset's simplicial cell complex,
+    as dense matrices of the signed boundary (d^2 = 0 checked there)."""
+    boundary = _signed_boundary(poset)
+    n = poset.rank
+    cells = [tuple(poset.by_rank(d + 1)) for d in range(n)]
+    boundaries = []
+    for d in range(n):
+        rows = cells[d - 1] if d else (poset.root,)
+        row_index = {y: i for i, y in enumerate(rows)}
+        mat = [[0] * len(cells[d]) for _ in rows]
+        for j, x in enumerate(cells[d]):
+            for y, sign in boundary[x].items():
+                mat[row_index[y]][j] = sign
+        boundaries.append(mat)
+    return ChainComplex(n, tuple(cells), tuple(boundaries))
 
 
 def smith_normal_form(mat):

@@ -53,10 +53,10 @@ def pairwise_presentation(poset, chi):
         for y in ids[i + 1:]:
             if poset.leq(x, y) or poset.leq(y, x):
                 continue
-            ups = poset._join_set(x, y)
+            ups = poset.join_set(x, y)
             terms = []
             if ups:
-                m = poset._meet(x, y)
+                m = poset.meet(x, y)
                 for z in ups:
                     pairs = ((z, 1),) if m == poset.root else ((m, 1), (z, 1))
                     terms.append((pairs, 1))

@@ -1,8 +1,6 @@
 """Betti ranks, ring presentations, Dehn-Sommerville, the mod 2 parity test."""
 
-import gc
 import random
-import tracemalloc
 from math import gcd
 
 import pytest
@@ -279,26 +277,6 @@ def test_presentation_matches_pairwise_oracle_on_surgeries(seed, op):
     rng = random.Random(seed)
     p = random_surgery(rng, op)
     _assert_presentation_matches_oracle(p, _random_map(rng, p))
-
-
-def test_presentation_keeps_no_join_or_meet_caches():
-    ((p, chi),) = realized_family([(1, 0, 2, 2, 0, 1)]).values()
-    assert len(p) == 57
-    wire = to_json_dict(p)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        q = from_json_dict(wire)
-        bare = tracemalloc.get_traced_memory()[0] - start
-        pres = present_cohomology_ring(q, chi)
-        del pres
-        gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        tracemalloc.stop()
-    assert q._join_cache == {} and q._meet_cache == {}
-    # the caches held more than twice the poset's own size
-    assert kept < 1.25 * bare, (kept, bare)
 
 
 # ---------------------------------------------------------------------------

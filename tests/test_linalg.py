@@ -8,14 +8,15 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
 import dense_linalg
+from dense_linalg import cell_chain_complex
 from torusfan import cohomology, homology, linalg
 from torusfan.charfun import find_characteristic_map
 from torusfan.facering import FaceRing
-from torusfan.homology import cell_chain_complex
 from torusfan.poset import barycentric_subdivision, simplex_boundary
 from conftest import builder_family
 
@@ -196,6 +197,52 @@ def test_snf_matches_sympy():
         expected = sorted(abs(int(f)) for f in invariant_factors(Matrix(mat), domain=ZZ) if f)
         factors, r = linalg.smith_normal_form(mat)
         assert (factors, r) == (expected, len(expected)), mat
+
+
+# diagonal entries: units, 0, composites and repeated primes
+DIAGONAL = (1, -1, 0, 2, 4, 6, 10, -3, 3, 9, 5, 25, 7)
+
+
+def _chain_of_diagonal(diagonal):
+    """Invariant factors of a diagonal matrix from the prime powers of its
+    entries: the i-th largest power of each prime goes to the i-th largest
+    factor."""
+    entries = [abs(d) for d in diagonal if d]
+    powers = {}  # prime: its exponent in each entry it divides
+    for d in entries:
+        q = 2
+        while d > 1:
+            e = 0
+            while d % q == 0:
+                d, e = d // q, e + 1
+            if e:
+                powers.setdefault(q, []).append(e)
+            q += 1
+    factors = [1] * len(entries)
+    for q, exponents in powers.items():
+        for i, e in enumerate(sorted(exponents, reverse=True)):
+            factors[-1 - i] *= q ** e
+    return factors, len(factors)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(DIAGONAL), max_size=6), st.integers(0, 2),
+       st.integers(0, 2), st.integers(0, 2 ** 32))
+def test_snf_recovers_the_chain_of_a_scrambled_diagonal(diagonal, more_rows,
+                                                        more_cols, seed):
+    # U D V with U, V unimodular has the invariant factors of D
+    rng = random.Random(seed)
+    m, n = len(diagonal) + more_rows, len(diagonal) + more_cols
+    d = [[diagonal[i] if i == j and i < len(diagonal) else 0
+          for j in range(n)] for i in range(m)]
+    mat = _product(_product(_unimodular(rng, m), d), _unimodular(rng, n))
+    expected = _chain_of_diagonal(diagonal)
+    assert linalg.smith_normal_form(mat) == expected, mat
+    assert dense_linalg.smith_normal_form(mat) == expected, mat
+    rows = [{(j, "c"): v for j, v in enumerate(row) if v} for row in mat]
+    kept = [dict(r) for r in rows]
+    assert linalg._snf(rows) == expected, mat
+    assert rows == kept
 
 
 def test_snf_rejects_ragged_matrix():
