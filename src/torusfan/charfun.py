@@ -314,21 +314,6 @@ class GKMGraph:
     def label(self, vertex, edge_id):
         return self._labels_at[vertex][edge_id]
 
-    def is_connected(self):
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        queue = [self.vertices[0]]
-        while queue:
-            v = queue.pop()
-            for e in self.edges:
-                if v in e.ends:
-                    w = e.other_end(v)
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-        return len(seen) == len(self.vertices)
-
 
 def _is_integer_multiple(diff, alpha):
     """diff == c * alpha for some integer c (alpha primitive, nonzero)."""
@@ -436,13 +421,6 @@ def _edge_at_omitting(graph, p, v):
         if poset.atoms(e) == target:
             return e
     raise GKMError(f"no edge at {p} omitting {v}")
-
-
-def tuple_degree(eta):
-    degs = {p.degree() for p in eta.values() if not p.is_zero()}
-    if len(degs) > 1:
-        raise GKMError(f"restriction tuple is not homogeneous: degrees {degs}")
-    return degs.pop() if degs else -1
 
 
 def divisibility_check(graph, eta):

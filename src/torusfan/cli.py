@@ -42,6 +42,18 @@ def _int_list(text):
             f"expected comma-separated integers, got {text!r}")
 
 
+def _nonnegative_int(text):
+    """A non-negative integer flag value (a bound or a degree)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -395,7 +407,7 @@ def _build_parser():
 
     p = add("charfun-find", _cmd_charfun_find)
     p.add_argument("poset")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_nonnegative_int, default=2)
 
     p = add("charfun-check", _cmd_charfun_check)
     p.add_argument("poset")
@@ -404,7 +416,7 @@ def _build_parser():
     p = add("gkm-report", _cmd_gkm_report)
     p.add_argument("poset")
     p.add_argument("chi")
-    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--dmax", type=_nonnegative_int, default=None)
 
     p = add("betti", _cmd_betti)
     p.add_argument("poset")
@@ -422,12 +434,12 @@ def _build_parser():
 
     p = add("hilbert-check", _cmd_hilbert_check)
     p.add_argument("poset")
-    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--dmax", type=_nonnegative_int, default=None)
 
     p = add("realize", _cmd_realize)
     p.add_argument("--target", required=True,
                    help="comma-separated h-vector entries")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_nonnegative_int, default=2)
     p.add_argument("--poset-out")
     p.add_argument("--lambda-out")
 

@@ -213,14 +213,6 @@ class RingElement:
     def degrees(self):
         return sorted({monomial_degree(self.ring.poset, m) for m in self.terms})
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
-    def homogeneous_component(self, degree):
-        p = self.ring.poset
-        return RingElement(self.ring, {m: c for m, c in self.terms.items()
-                                       if monomial_degree(p, m) == degree})
-
     def __add__(self, other):
         self.ring.require_same(other)
         out = dict(self.terms)

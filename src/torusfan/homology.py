@@ -15,6 +15,17 @@ gives boundary-of-boundary zero.  ``_signed_boundary`` builds this map
 once per poset, with its inversion (the cofaces of each element) in the
 same loop, and checks d^2 = 0 on it once.
 
+The positions come from vertex-id sums, with no vertex sets: vsum of a
+vertex is its id, vsum of the least element is 0, and vsum(x) for x of
+rank k >= 2 is the sum of vsum over its k covers divided by k - 1, since
+[0-hat, x] is boolean and each vertex of x lies below k - 1 of them.  A
+cover y of x then omits the vertex vsum(x) - vsum(y); distinct covers
+omit distinct vertices, so sorting the covers by descending vsum lists
+the omitted vertices in ascending order, which is the order of their
+positions in the sorted vertex list.  The covers in that order take the
+signs +1, -1, +1, ..., exactly the signs by position.  This holds for
+any integer ids, negative ones included.
+
 Coreductions (Mrozek-Batko, Discrete Comput. Geom. 41, 2009) shrink the
 complex before any Smith normal form.  A cell b whose boundary, restricted
 to the cells still present, is a single cell a is deleted together with
@@ -43,12 +54,30 @@ times the sign of the permutation between the link vertices of y sorted
 by id and sorted by their atom w.  So each boundary matrix changes only
 by +-1 scalings of rows and columns, which keep ranks and invariant
 factors.
+
+A link of rank at most 2 needs neither coreduction nor upset: its
+homology is a count.  A rank-1 link is its k vertices (the cofaces of
+x), so H_0 = Z^(k-1).  A rank-2 link is a graph: its edges are the
+cofaces z of its vertices, and each has exactly two of them as faces,
+the two elements strictly between x and z in the boolean [x, z].  So
+loops cannot occur, though parallel edges can.  With V vertices, E edges
+and c components (union-find over the vertices and their cofaces),
+H_0 = Z^(c-1) and H_1 = Z^(E-V+c), torsion-free.  This holds for every
+simplicial poset, pure or not.
+
+The pass over all links (``_links``) tests purity once.  In a pure poset
+every element lies below a top, so every link has rank rank - rank(x),
+and the one rank-bound check is the least element's.  A poset that is not
+pure takes the per-element test of ``SimplicialPoset.link_rank``, and is
+refused at the first element that lies below no top, as ``link`` would
+refuse it there.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .poset import Record, TorusfanError, max_rank_bound
+from .poset import (PosetError, Record, TorusfanError, _rank_violations,
+                    max_rank_bound)
 
 
 class HomologyError(TorusfanError):
@@ -65,18 +94,24 @@ class _Boundary(dict):
 def _signed_boundary(poset):
     """{x: {y: sign}} over the elements x and the elements y that x covers
     (the least element maps to {}), d^2 = 0 checked once; its ``cofaces``
-    are built in the same loop."""
+    are built in the same loop.  The signs follow the vertex-id sums of
+    the module docstring."""
     cells = poset.cells
-    atoms_of = poset._lower()[1]
     boundary = _Boundary()
     cofaces = boundary.cofaces = {x: [] for x in cells}
-    for x in poset.elements():
-        atoms = atoms_of[x]
-        order = sorted(atoms)
+    vsum = {}
+    for x in poset.elements():  # by rank, so every cover comes first
+        c = cells[x]
+        covers = c.covers
+        k = c.rank
+        vsum[x] = (sum(map(vsum.__getitem__, covers)) // (k - 1) if k > 1
+                   else x if k else 0)
         col = boundary[x] = {}
-        for y in cells[x].covers:
-            (v,) = atoms - atoms_of[y]
-            col[y] = -1 if order.index(v) % 2 else 1
+        sign = 1
+        # the omitted vertices vsum(x) - vsum(y) in ascending order
+        for y in sorted(covers, key=vsum.__getitem__, reverse=True):
+            col[y] = sign
+            sign = -sign
             cofaces[y].append(x)
     _check_square_zero(boundary)
     return boundary
@@ -158,8 +193,13 @@ def _link_homology(poset, boundary, x, n):
     of dimension r - rank_of(x) - 1 and x the empty cell, reduced by
     coreductions; Smith normal form runs only on what is left."""
     cofaces = boundary.cofaces
-    if not cofaces[x]:  # no vertex: the link is the empty complex
+    vertices = cofaces[x]
+    if not vertices:  # no vertex: the link is the empty complex
         return HomologyGroups(n, {-1: (1, ())})
+    if n == 1:  # a set of points
+        return HomologyGroups(1, {0: (len(vertices) - 1, ())})
+    if n == 2:
+        return _graph_homology(vertices, cofaces)
     cells = poset.cells
     shift = cells[x].rank
     up = cells if x == poset.root else poset.upset(x)  # the root's is all
@@ -206,13 +246,47 @@ def _link_homology(poset, boundary, x, n):
     return HomologyGroups(n, groups)
 
 
+def _graph_homology(vertices, cofaces):
+    """Reduced homology of a rank-2 link of x, a graph on ``vertices``
+    whose edges are their cofaces: an edge z has exactly two of them as
+    faces, the two elements strictly between x and z in the boolean
+    [x, z].  Union-find counts the components c; then H_0 = Z^(c-1) and
+    H_1 = Z^(E-V+c)."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    ends = {}  # edge: the first of its vertices seen
+    components = len(vertices)
+    for v in vertices:
+        for z in cofaces[v]:
+            u = ends.setdefault(z, v)
+            if u != v:
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[ru] = rv
+                    components -= 1
+    cycles = len(ends) - len(vertices) + components
+    return HomologyGroups(2, {0: (components - 1, ()), 1: (cycles, ())})
+
+
 def _links(poset):
     """(x, dimension of the link of x, its integral reduced homology) for
     every element x, the least element included."""
     boundary = _signed_boundary(poset)
-    poset.link_rank(poset.root)  # the largest link: one rank-bound check
+    cells = poset.cells
+    pure = poset.is_pure()  # then every element lies below a top
+    if pure:
+        problems = _rank_violations(poset.rank)  # the largest link's
+        if problems:
+            raise PosetError(problems)
+    else:  # refused where a link lies below no top, as link_rank says
+        poset.link_rank(poset.root)
     for x in poset.elements():
-        n = poset._pure_link_rank(x)
+        n = poset.rank - cells[x].rank if pure else poset._pure_link_rank(x)
         yield x, n - 1, _link_homology(poset, boundary, x, n)
 
 
@@ -241,8 +315,11 @@ def link_verdicts(poset, chars=(0, 2, 3, 5)):
     torsion = []
     for x, d, hom in _links(poset):
         named = poset.cell(x).named()
+        # without torsion the Betti numbers are the same over every field
+        free = not any(tor for _, tor in hom.groups.values())
         for char, found in witnesses.items():
-            for dim, (betti, _) in sorted(hom.over(char).groups.items()):
+            groups = hom.groups if free else hom.over(char).groups
+            for dim, (betti, _) in sorted(groups.items()):
                 if dim < d and betti:
                     found.append(f"link of {named} has reduced homology "
                                  f"rank {betti} in dimension {dim} < {d}")

@@ -203,3 +203,24 @@ def test_mutated_flag_values(files):
         for value in rng.sample(FLAG_MUTANTS, 8):
             problems += _call(before + [value] + after)
     assert not problems, problems[:5]
+
+
+@pytest.mark.parametrize("before, flag", [
+    (["charfun-find", "{p}"], "--bound"),
+    (["realize", "--target", "1,1,1"], "--bound"),
+    (["gkm-report", "{p}", "{chi}"], "--dmax"),
+    (["hilbert-check", "{p}"], "--dmax")])
+def test_negative_bounds_are_malformed_input(files, capsys, before, flag):
+    _, good, chi = files
+    argv = [a.format(p=good, chi=chi) for a in before]
+    for value in ("-1", "-2"):
+        assert cli.main(argv + [flag, value]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == (f"argument {flag}: expected a "
+                                   f"non-negative integer, got {value}")
+    # zero is a bound like any other, and a non-integer reads as before
+    assert cli.main(argv + [flag, "0"]) in (0, 1)
+    capsys.readouterr()
+    assert cli.main(argv + [flag, "x"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == f"argument {flag}: invalid int value: 'x'"

@@ -99,8 +99,7 @@ def test_graded_quotient_basis_sizes():
     assert [len(basis[k]) for k in range(3)] == [1, 1, 1]
     for k, elems in basis.items():
         for a in elems:
-            assert a.is_homogeneous()
-            assert a.degrees() in ([], [2 * k])
+            assert a.degrees() in ([], [2 * k])  # homogeneous of degree 2k
 
 
 def test_quotient_names_missing_vertices():

@@ -1,5 +1,6 @@
 """Chain complexes, Smith normal form, links, CM and Gorenstein* verdicts."""
 
+import itertools
 import random
 import re
 
@@ -374,6 +375,115 @@ def test_link_homology_by_restriction_keeps_torsion(make):
 def test_link_homology_by_restriction_on_random_surgery(seed, op):
     p = random_surgery(random.Random(seed), op)
     _assert_links_match_oracle(p)
+    assert reduced_homology(p) == _dense_homology(p)
+
+
+# ---------------------------------------------------------------------------
+# links of rank <= 2 by counting
+
+
+def _two_tetrahedra_on_a_vertex():
+    """Two boundaries of a 3-simplex sharing the vertex 4, whose link there
+    is two disjoint circles."""
+    return complex_from_facets(
+        [f for quad in ((1, 2, 3, 4), (4, 5, 6, 7))
+         for f in itertools.combinations(quad, 3)])
+
+
+def _link_of(p, label):
+    return next(x for x in p.elements() if p.cell(x).label == label)
+
+
+@pytest.mark.parametrize("make, label, groups", [
+    # the link of a vertex: two points joined by two parallel edges
+    (lambda: sphere_poset(3), None, {0: (0, ()), 1: (1, ())}),
+    (_two_tetrahedra_on_a_vertex, "4", {0: (1, ()), 1: (2, ())}),
+    # a boundary edge of a disc: one point
+    (lambda: simplex_poset(3), None, {0: (0, ())}),
+    (lambda: complex_from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)]), "12",
+     {0: (2, ())})])
+def test_counted_links_match_link_posets(make, label, groups):
+    p = make()
+    _assert_links_match_oracle(p)
+    if label is None:  # the first element of the link's rank
+        x = p.by_rank(p.rank - len(groups))[0]
+    else:
+        x = _link_of(p, label)
+    assert reduced_homology(p.link(x)).groups == groups
+    links = {y: hom for y, _, hom in homology._links(p)}
+    assert links[x].groups == groups
+
+
+def test_counted_links_keep_the_refusal_of_a_non_pure_poset():
+    # a triangle with a dangling edge: the link of vertex 3 is an edge and
+    # a point, and the link of vertex 4 lies below no top
+    p = complex_from_facets([(1, 2, 3), (3, 4)])
+    assert not p.is_pure()
+    _assert_links_match_oracle(p)
+    with pytest.raises(PosetError) as direct:
+        p.link_rank(_link_of(p, "4"))
+    with pytest.raises(PosetError) as refused:
+        list(homology._links(p))
+    assert refused.value.violations == direct.value.violations == [
+        "link of 4: declared rank 2 but maximal element rank is 1"]
+
+
+def test_gorenstein_star_builds_no_upsets_up_to_rank_3(disc):
+    posets = list(builder_family(3).values()) + [
+        p for p, _ in realized_family(((1, 1, 1), (1, 2, 2, 1))).values()]
+    for p in posets + [projective_plane(), _two_tetrahedra_on_a_vertex()]:
+        assert p._upsets is None
+        gorenstein_star(p)
+        link_verdicts(p, (0, 2))
+        assert p._upsets is None, p
+    # a rank-4 poset needs them for the links of its vertices
+    p = sphere_poset(4)
+    gorenstein_star(p)
+    assert p._upsets is not None
+
+
+# ---------------------------------------------------------------------------
+# signs from vertex-id sums
+
+
+def _atom_position_signs(p):
+    """The sign rule by positions: x covering y takes (-1)^i, where the
+    vertex that y omits is the i-th of x's vertices sorted by id."""
+    signs = {}
+    for x in p.elements():
+        atoms = p.atoms(x)
+        order = sorted(atoms)
+        col = signs[x] = {}
+        for y in p.covers(x):
+            (v,) = atoms - p.atoms(y)
+            col[y] = -1 if order.index(v) % 2 else 1
+    return signs
+
+
+def _relabelled(p, rng):
+    """p with ids drawn at random from a range around zero, most of them
+    negative, in an order unrelated to the old one."""
+    ids = rng.sample(range(-3 * len(p), len(p)), len(p))
+    new = dict(zip(p.cells, ids))
+    return SimplicialPoset._trusted(p.rank, [
+        Cell(new[c.id], c.rank, tuple(new[d] for d in c.covers), c.label)
+        for c in p.cells.values()])
+
+
+@pytest.mark.parametrize("name", sorted(builder_family(4)))
+def test_vertex_sum_signs_are_the_atom_position_signs(name):
+    p = builder_family(4)[name]
+    assert _signed_boundary(p) == _atom_position_signs(p)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_vertex_sum_signs_under_negative_scrambled_ids(seed, op):
+    rng = random.Random(seed)
+    p = _relabelled(random_surgery(rng, op), rng)
+    assert _signed_boundary(p) == _atom_position_signs(p)
     assert reduced_homology(p) == _dense_homology(p)
 
 
