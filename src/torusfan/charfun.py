@@ -223,9 +223,10 @@ def find_characteristic_map(poset, bound):
     a candidate c passes a prefix iff gcd(Q c) = 1.  The candidates are
     generated by ``candidate_vectors``, which solves each one-row Q (a
     prefix of n-1 vectors) for the last coordinate; a vertex that
-    completes no prefix takes every primitive vector.
+    completes no prefix takes every primitive vector.  A negative bound
+    raises ValueError.
     """
-    if bound < 1:
+    if linalg.check_nonnegative(bound) < 1:
         return None
     n = poset.rank
     vertices = sorted(poset.vertices())

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb
 from operator import index
 
-from .linalg import check_char
+from .linalg import check_char, check_nonnegative
 from .poset import TorusfanError
 from .polys import Poly
 
@@ -382,7 +382,8 @@ def graded_dimensions(poset, kmax):
     """[graded_dimension(poset, k) for k in range(kmax + 1)]: the chain
     monomials are counted down the poset's downsets, with one memo for
     every degree, since the count of those ending at x with weight w does
-    not depend on k."""
+    not depend on k.  A negative kmax raises ValueError."""
+    check_nonnegative(kmax)
     memo = {}
 
     def ending_at(x, w):
@@ -465,7 +466,8 @@ class HilbertReport:
 
 
 def hilbert_check(poset, dmax):
-    """Compare chain-monomial counts with the h-vector series up to degree 2*dmax."""
+    """Compare chain-monomial counts with the h-vector series up to degree
+    2*dmax; a negative dmax raises ValueError."""
     h = poset.h_vector()
     n = poset.rank
     rows = [(k, count, series_coefficient(h, n, k))

@@ -55,7 +55,12 @@ by id and sorted by their atom w.  So each boundary matrix changes only
 by +-1 scalings of rows and columns, which keep ranks and invariant
 factors.
 
-A link of rank at most 2 needs neither coreduction nor upset: its
+A link of rank at least 3 other than the root's is found by walking up
+the cofaces from x, breadth first: every coface lies one rank up, so the
+walk reaches each y >= x at level rank(y) - rank(x), and nothing
+else.  The root's link is every cell, read directly.
+
+A link of rank at most 2 needs neither coreduction nor walk: its
 homology is a count.  A rank-1 link is its k vertices (the cofaces of
 x), so H_0 = Z^(k-1).  A rank-2 link is a graph: its edges are the
 cofaces z of its vertices, and each has exactly two of them as faces,
@@ -65,12 +70,14 @@ and c components (union-find over the vertices and their cofaces),
 H_0 = Z^(c-1) and H_1 = Z^(E-V+c), torsion-free.  This holds for every
 simplicial poset, pure or not.
 
-The pass over all links (``_links``) tests purity once.  In a pure poset
-every element lies below a top, so every link has rank rank - rank(x),
-and the one rank-bound check is the least element's.  A poset that is not
-pure takes the per-element test of ``SimplicialPoset.link_rank``, and is
-refused at the first element that lies below no top, as ``link`` would
-refuse it there.
+The pass over all links (``_links``) checks the rank bound once, at the
+least element, whose link is the largest.  One sweep over the elements
+in reverse (rank, id) order gives each x its height, the largest rank
+above it: the largest height of its cofaces, or its own rank if it has
+none.  The link of x has rank rank - rank(x) exactly when x lies below a
+top, that is when its height is the rank; the pass is refused at the
+first element whose height is smaller, naming both ranks.  Pure and
+non-pure posets take this one path.
 """
 
 from __future__ import annotations
@@ -202,10 +209,19 @@ def _link_homology(poset, boundary, x, n):
         return _graph_homology(vertices, cofaces)
     cells = poset.cells
     shift = cells[x].rank
-    up = cells if x == poset.root else poset.upset(x)  # the root's is all
     # live[y]: the faces of y left in the link; [x, y] is boolean, so y
     # covers rank(y) - rank(x) elements of it
-    live = {y: cells[y].rank - shift for y in up}
+    if x == poset.root:  # the root's link is every cell
+        live = {y: c.rank for y, c in cells.items()}
+    else:  # walked up the cofaces, breadth first
+        live = {x: 0}
+        queue = [x]
+        for y in queue:  # grows as the walk goes
+            k = live[y] + 1
+            for z in cofaces[y]:
+                if z not in live:
+                    live[z] = k
+                    queue.append(z)
     get = live.get
     # one vertex pairs with the empty cell x, which leaves the others
     # without a face
@@ -275,19 +291,28 @@ def _graph_homology(vertices, cofaces):
 
 def _links(poset):
     """(x, dimension of the link of x, its integral reduced homology) for
-    every element x, the least element included."""
+    every element x, the least element included; refused at the first
+    element that lies below no top."""
     boundary = _signed_boundary(poset)
+    cofaces = boundary.cofaces
     cells = poset.cells
-    pure = poset.is_pure()  # then every element lies below a top
-    if pure:
-        problems = _rank_violations(poset.rank)  # the largest link's
-        if problems:
-            raise PosetError(problems)
-    else:  # refused where a link lies below no top, as link_rank says
-        poset.link_rank(poset.root)
-    for x in poset.elements():
-        n = poset.rank - cells[x].rank if pure else poset._pure_link_rank(x)
-        yield x, n - 1, _link_homology(poset, boundary, x, n)
+    rank = poset.rank
+    problems = _rank_violations(rank)  # the largest link's
+    if problems:
+        raise PosetError(problems)
+    order = poset.elements()
+    height = {}  # the largest rank above x
+    for x in reversed(order):  # the cofaces of x come first
+        height[x] = max(map(height.__getitem__, cofaces[x]),
+                        default=cells[x].rank)
+    for x in order:
+        shift = cells[x].rank
+        if height[x] < rank:
+            raise PosetError([f"link of {cells[x].named()}: declared rank "
+                              f"{rank - shift} but maximal element rank is "
+                              f"{height[x] - shift}"])
+        yield x, rank - shift - 1, _link_homology(poset, boundary, x,
+                                                  rank - shift)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ diagonal (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
 Dumas-Saunders-Villard, JSC 2001).  The homology code calls it on what its
 coreductions leave; the characteristic-map checks call
 ``smith_normal_form``, its dense-matrix front end.
+
+``check_nonnegative`` is the one rule for a search bound or a largest
+degree: a negative one is refused.
 """
 
 from __future__ import annotations
@@ -71,6 +74,14 @@ def check_char(char):
     if c and not _is_prime(c):
         raise ValueError(f"characteristic {char!r} is neither 0 nor prime")
     return c
+
+
+def check_nonnegative(value):
+    """Return ``value`` (a search bound or a degree); raise ValueError if
+    it is negative."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
 
 
 def _sparse(mat):

@@ -237,10 +237,13 @@ class SimplicialPoset:
     builds their downsets and atom sets on first use.  The validating
     constructor indexes from the downsets and atom sets that its
     validation built, so either path builds them at most once.
+
+    No upward index is kept: the homology pass reads each link off the
+    cofaces of its signed boundary, and the upper set of x is
+    ``{y for y in p.cells if p.leq(x, y)}``.
     """
 
-    __slots__ = ("rank", "cells", "root", "_downsets", "_upsets", "_atoms",
-                 "_by_rank", "_top_set")
+    __slots__ = ("rank", "cells", "root", "_downsets", "_atoms", "_by_rank")
 
     def __init__(self, rank, cells):
         cells = tuple(cells)
@@ -265,13 +268,11 @@ class SimplicialPoset:
         self.cells = {c.id: c for c in cells}
         # from validation or construction, or built on first use (``_lower``)
         self._downsets, self._atoms = lower or (None, None)
-        self._upsets = None  # built on the first upset() call
         by_rank = [[] for _ in range(rank + 1)]
         for c in cells:
             by_rank[c.rank].append(c.id)
         self._by_rank = tuple(tuple(sorted(ids)) for ids in by_rank)
         self.root = self._by_rank[0][0]
-        self._top_set = None  # built on the first _pure_link_rank() call
 
     def _lower(self):
         """(downsets, atom sets), built on the first call for a trusted
@@ -325,15 +326,6 @@ class SimplicialPoset:
         if down is None:
             down = self._lower()[0]
         return down[x]
-
-    def upset(self, x):
-        if self._upsets is None:
-            ups = {i: {i} for i in self.cells}
-            for i, down in self._lower()[0].items():
-                for j in down:
-                    ups[j].add(i)
-            self._upsets = {i: frozenset(s) for i, s in ups.items()}
-        return self._upsets[x]
 
     def atoms(self, x):
         """Ids of the rank-1 elements below x (the vertex set of the cell)."""
@@ -402,44 +394,6 @@ class SimplicialPoset:
 
     def euler_characteristic(self):
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector()))
-
-    # ----- links -----------------------------------------------------------
-
-    def link_rank(self, x):
-        """The rank ``rank - rank_of(x)`` of the link of x; PosetError
-        unless x lies below a top cell and that rank is within the bound."""
-        rank = self._pure_link_rank(x)
-        problems = _rank_violations(rank)
-        if problems:
-            raise PosetError(problems)
-        return rank
-
-    def _pure_link_rank(self, x):
-        """``link_rank`` without the rank bound, which a pass over every
-        link checks once, at the least element (the largest link)."""
-        shift = self.rank_of(x)
-        up = self.upset(x)
-        if self._top_set is None:
-            self._top_set = frozenset(self.tops())
-        if up.isdisjoint(self._top_set):
-            top = max(self.cells[y].rank for y in up) - shift
-            raise PosetError([f"link of {self.cell(x).named()}: declared "
-                              f"rank {self.rank - shift} but maximal element "
-                              f"rank is {top}"])
-        return self.rank - shift
-
-    def link(self, x):
-        """The upper set of x, re-ranked so x becomes the least element
-        (refused as ``link_rank`` says)."""
-        rank = self.link_rank(x)
-        shift = self.rank_of(x)
-        cells = []
-        for y in sorted(self.upset(x)):
-            c = self.cells[y]
-            covers = (c.covers if c.rank - shift > 0 else ())
-            covers = tuple(d for d in covers if self.leq(x, d))
-            cells.append(Cell(y, c.rank - shift, covers, c.label))
-        return SimplicialPoset._trusted(rank, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +599,7 @@ def stellar_subdivision(p, x):
     """
     if x == p.root:
         raise PosetError(["cannot subdivide at the least element"])
-    removed = p.upset(x)
+    removed = {y for y in p.cells if p.leq(x, y)}  # the star of x
     surviving = [c for c in p.cells.values() if c.id not in removed]
 
     new_cells = []  # (w, z) pairs

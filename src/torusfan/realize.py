@@ -191,7 +191,8 @@ def realize_decomposition(decomposition, bound=2):
     """Build the connected sum of the blocks, verify the postconditions
     (h-vector, Gorenstein*) and search for a characteristic map; returns
     (poset, chi) or raises RealizationError (SearchBoundError when the
-    bound admits no characteristic map)."""
+    bound admits no characteristic map); a negative bound raises
+    ValueError."""
     if not decomposition.blocks:
         raise RealizationError("empty decomposition")
     poset = _fold_connected_sums(decomposition)
@@ -230,7 +231,8 @@ class Refusal(Record):
 
 def realize_with_lambda(entries, bound=2):
     """Full pipeline: classify, decompose, realize, search for a
-    characteristic map.  Returns a Realization or a structured Refusal."""
+    characteristic map.  Returns a Realization or a structured Refusal;
+    a negative bound raises ValueError."""
     verdict, reasons = classify(entries)
     if verdict == MALFORMED:
         return Refusal(MALFORMED, "; ".join(reasons))

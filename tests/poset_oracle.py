@@ -1,8 +1,10 @@
-"""Poset oracles: isomorphism by backtracking, and the Gorenstein* test in
-its defining form on the barycentric subdivision.  Slow on purpose."""
+"""Poset oracles: isomorphism by backtracking, the Gorenstein* test in
+its defining form on the barycentric subdivision, and links as posets
+built from ``leq``.  Slow on purpose."""
 
 from torusfan.homology import Verdict, _links
-from torusfan.poset import barycentric_subdivision
+from torusfan.poset import (Cell, PosetError, SimplicialPoset,
+                            _rank_violations, barycentric_subdivision)
 
 
 def are_isomorphic(p1, p2):
@@ -54,3 +56,37 @@ def gorenstein_star_subdivided(poset):
     witnesses = [f"sd link of {sd.cell(x).named()} is not S^{d}"
                  for x, d, hom in _links(sd) if not hom.is_sphere(d)]
     return Verdict(not witnesses, witnesses)
+
+
+def upset(p, x):
+    """The elements y >= x."""
+    return frozenset(y for y in p.cells if p.leq(x, y))
+
+
+def link_rank(p, x):
+    """The rank ``p.rank - p.rank_of(x)`` of the link of x; PosetError
+    unless x lies below a top cell and that rank is within the bound."""
+    shift = p.rank_of(x)
+    up = upset(p, x)
+    if up.isdisjoint(p.tops()):
+        top = max(p.rank_of(y) for y in up) - shift
+        raise PosetError([f"link of {p.cell(x).named()}: declared rank "
+                          f"{p.rank - shift} but maximal element rank is "
+                          f"{top}"])
+    problems = _rank_violations(p.rank - shift)
+    if problems:
+        raise PosetError(problems)
+    return p.rank - shift
+
+
+def link(p, x):
+    """The upper set of x, re-ranked so x becomes the least element
+    (refused as ``link_rank`` says)."""
+    rank = link_rank(p, x)
+    shift = p.rank_of(x)
+    cells = []
+    for y in sorted(upset(p, x)):
+        c = p.cell(y)
+        covers = tuple(d for d in c.covers if c.rank > shift and p.leq(x, d))
+        cells.append(Cell(y, c.rank - shift, covers, c.label))
+    return SimplicialPoset._trusted(rank, cells)

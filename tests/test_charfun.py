@@ -176,6 +176,17 @@ def test_find_bound_zero_returns_none():
     assert find_characteristic_map(simplex_boundary(2), 0) is None
 
 
+def test_find_refuses_a_negative_bound():
+    with pytest.raises(ValueError,
+                       match="expected a non-negative integer, got -1"):
+        find_characteristic_map(simplex_boundary(2), -1)
+
+
+def test_gkm_dimension_of_a_negative_degree_is_zero():
+    p, chi = sphere_chi(2)
+    assert gkm_subalgebra_dimension(build_gkm_graph(p, chi), -1) == 0
+
+
 def test_find_is_deterministic():
     p = sphere_product_poset(1, 1)
     assert find_characteristic_map(p, 1) == find_characteristic_map(p, 1)

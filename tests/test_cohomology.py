@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusfan import cohomology, facering, linalg
-from torusfan.charfun import (CharacteristicMap, build_gkm_graph,
-                              check_unimodular, find_characteristic_map)
+from torusfan.charfun import (CharacteristicMap, check_unimodular,
+                              find_characteristic_map)
 from torusfan.cohomology import (CohomologyError, betti_numbers,
                                  dehn_sommerville_check,
                                  graded_quotient_basis,
@@ -18,8 +18,8 @@ from torusfan.facering import (chain_monomial, format_element,
                                graded_dimension, hilbert_check)
 from torusfan.homology import cohen_macaulay
 from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
-                            from_json_dict, simplex_boundary, sphere_poset,
-                            sphere_product_poset, to_json_dict)
+                            simplex_boundary, sphere_poset,
+                            sphere_product_poset)
 from conftest import random_surgery, realized_family
 from quotient_oracle import full_row_quotient, pairwise_presentation
 from test_charfun import _non_pure, cp2_chi, sphere_chi
@@ -189,21 +189,6 @@ def test_row_criterion_adds_no_zero_row_and_no_straightening(monkeypatch):
             assert [len(basis[k]) for k in sorted(basis)] == list(p.h_vector())
         report = sw_parity(p, chi)
         assert report.applicable and report.consistent
-
-
-def test_cohomology_builds_no_upset_index():
-    for wire_poset, chi in realized_family().values():
-        n = wire_poset.rank
-        calls = [lambda p: betti_numbers(p, chi, 0),
-                 lambda p: graded_quotient_basis(p, chi, 2),
-                 lambda p: sw_parity(p, chi),
-                 lambda p: present_cohomology_ring(p, chi),
-                 lambda p: hilbert_check(p, 2 * n),
-                 lambda p: build_gkm_graph(p, chi)]
-        for call in calls:
-            p = from_json_dict(to_json_dict(wire_poset))
-            call(p)
-            assert p._upsets is None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from torusfan.poset import (Cell, SimplicialPoset, simplex_boundary, sphere_pose
                             sphere_product_poset)
 from conftest import (SMALL_REALIZED_TARGETS, builder_family, random_surgery,
                       realized_family)
+from poset_oracle import upset
 
 
 def _random_element(ring, rng, max_terms=4, max_exp=3):
@@ -30,7 +31,7 @@ def _random_element(ring, rng, max_terms=4, max_exp=3):
         x = rng.choice(elems)
         chain = [x]
         while rng.random() < 0.5:
-            above = [y for y in poset.upset(chain[-1]) if y != chain[-1]]
+            above = [y for y in upset(poset, chain[-1]) if y != chain[-1]]
             if not above:
                 break
             chain.append(rng.choice(above))
@@ -347,8 +348,18 @@ def test_graded_dimensions_share_one_count_across_degrees():
         dims = graded_dimensions(poset, 5)
         assert dims == [graded_dimension(poset, k) for k in range(6)]
         assert dims == [_brute_force_monomial_count(poset, k) for k in range(6)]
-    assert graded_dimensions(sphere_poset(2), -1) == []
-    assert graded_dimension(sphere_poset(2), -1) == 0
+
+
+def test_negative_degrees():
+    # a degree below zero has dimension 0; a negative bound is refused
+    p = sphere_poset(2)
+    assert graded_dimension(p, -1) == 0
+    for call in (lambda: graded_dimensions(p, -1),
+                 lambda: hilbert_check(p, -2)):
+        with pytest.raises(ValueError,
+                           match="expected a non-negative integer, got -"):
+            call()
+    assert hilbert_check(p, 0).rows == [(0, 1, 1)]
 
 
 def test_basis_matches_dimension():

@@ -180,6 +180,14 @@ def test_search_bound_refusal_keeps_its_detail():
         realize_decomposition(decompose(HVectorTarget([1, 1, 1])), bound=0)
 
 
+def test_negative_bound_is_refused_not_exhausted():
+    match = "expected a non-negative integer, got -1"
+    with pytest.raises(ValueError, match=match):
+        realize_with_lambda([1, 1, 1], bound=-1)
+    with pytest.raises(ValueError, match=match):
+        realize_decomposition(decompose(HVectorTarget([1, 1, 1])), bound=-1)
+
+
 def test_gorenstein_failure_is_not_a_refusal(monkeypatch):
     monkeypatch.setattr(realize_mod, "gorenstein_star",
                         lambda p: SimpleNamespace(ok=False, witnesses=["w"]))
