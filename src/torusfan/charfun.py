@@ -54,6 +54,18 @@ def _is_primitive(vec):
     return g == 1
 
 
+def _vector_problem(x, v, raw, n):
+    """Why v, read as ``_integer_vector(raw)``, is not a primitive integer
+    n-vector for vertex x, or None when it is one."""
+    if v is None:
+        return f"vector for {x} has non-integer entries: {raw!r}"
+    if len(v) != n:
+        return f"vector for {x} has length {len(v)}, expected {n}"
+    if not _is_primitive(v):
+        return f"vector for {x} is not primitive: {v}"
+    return None
+
+
 class CharacteristicMap:
     """Assignment of primitive integer n-vectors to rank-1 elements."""
 
@@ -63,13 +75,9 @@ class CharacteristicMap:
         self.n = n
         self.vectors = {index(x): _integer_vector(v) for x, v in vectors.items()}
         for x, v in self.vectors.items():
-            if v is None:
-                raise GKMError(f"vector for {x} has non-integer entries: "
-                               f"{vectors[x]!r}")
-            if len(v) != n:
-                raise GKMError(f"vector for {x} has length {len(v)}, expected {n}")
-            if not _is_primitive(v):
-                raise GKMError(f"vector for {x} is not primitive: {v}")
+            problem = _vector_problem(x, v, vectors[x] if v is None else v, n)
+            if problem:
+                raise GKMError(problem)
 
     def vec(self, x):
         return self.vectors[x]
@@ -101,14 +109,9 @@ def check_unimodular(poset, chi):
         violations.append(f"missing assignment on vertices {sorted(missing)}")
         return False, violations
     for x, v in sorted(vectors.items()):
-        if v is None:
-            violations.append(f"vector for {x} has non-integer entries: "
-                              f"{chi[x]!r}")
-        elif len(v) != poset.rank:
-            violations.append(
-                f"vector for {x} has length {len(v)}, expected {poset.rank}")
-        elif not _is_primitive(v):
-            violations.append(f"vector for {x} is not primitive: {v}")
+        problem = _vector_problem(x, v, chi[x] if v is None else v, poset.rank)
+        if problem:
+            violations.append(problem)
     if violations:
         return False, violations
 
@@ -353,11 +356,10 @@ def build_gkm_graph(poset, chi):
     for p in poset.tops():
         verts = sorted(poset.atoms(p))
         inverse = linalg.invert_unimodular([list(chi.vec(v)) for v in verts])
-        by_atoms = {poset.atoms(y): y for y in poset.downset(p)}
         lbl = {}
         eo = {}
         for j, v in enumerate(verts):
-            e = by_atoms[poset.atoms(p) - {v}]
+            e = poset.face(p, poset.atoms(p) - {v})
             lbl[e] = tuple(inverse[i][j] for i in range(n))
             eo[v] = e
         labels[p] = lbl
@@ -409,19 +411,10 @@ def thom_class_restriction(graph, x):
             continue
         poly = Poly.const(n, 1)
         for v in sorted(poset.atoms(x)):
-            e = _edge_at_omitting(graph, p, v)
+            e = poset.face(p, poset.atoms(p) - {v})
             poly = poly * Poly.linear(graph.label(p, e))
         out[p] = poly
     return out
-
-
-def _edge_at_omitting(graph, p, v):
-    poset = graph.poset
-    target = poset.atoms(p) - {v}
-    for e in graph.edges_at(p):
-        if poset.atoms(e) == target:
-            return e
-    raise GKMError(f"no edge at {p} omitting {v}")
 
 
 def divisibility_check(graph, eta):

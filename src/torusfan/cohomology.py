@@ -157,10 +157,10 @@ def present_cohomology_ring(poset, chi):
                 relations.append((x, y, zero))
                 continue
             # below a common upper bound the interval is boolean, so the
-            # meet is the one common lower bound with the common vertices
-            r = len(atoms_x & poset.atoms(y))
-            if r:
-                m = next(w for w in down[x] & down[y] if poset.rank_of(w) == r)
+            # meet is the face of x on the common vertices
+            common = atoms_x & poset.atoms(y)
+            if common:
+                m = poset.face(x, common)
                 terms = {((m, 1), (z, 1)): 1 for z in poset.join_set(x, y)}
             else:
                 terms = {((z, 1),): 1 for z in poset.join_set(x, y)}

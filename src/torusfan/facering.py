@@ -108,7 +108,8 @@ def _insert(poset, g, chain):
     ups = poset.join_set(g, c)
     if not ups:
         return []
-    m = poset.meet(g, c)
+    # below a common upper bound the meet has the common vertices
+    m = poset.face(g, poset.atoms(g) & poset.atoms(c))
     prefix = () if m == poset.root else (m,)
     out = []
     for z in ups:

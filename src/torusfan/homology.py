@@ -83,8 +83,7 @@ non-pure posets take this one path.
 from __future__ import annotations
 
 from . import linalg
-from .poset import (PosetError, Record, TorusfanError, _rank_violations,
-                    max_rank_bound)
+from .poset import PosetError, Record, TorusfanError, _rank_violations
 
 
 class HomologyError(TorusfanError):
@@ -293,13 +292,13 @@ def _links(poset):
     """(x, dimension of the link of x, its integral reduced homology) for
     every element x, the least element included; refused at the first
     element that lies below no top."""
-    boundary = _signed_boundary(poset)
-    cofaces = boundary.cofaces
-    cells = poset.cells
     rank = poset.rank
     problems = _rank_violations(rank)  # the largest link's
     if problems:
         raise PosetError(problems)
+    boundary = _signed_boundary(poset)
+    cofaces = boundary.cofaces
+    cells = poset.cells
     order = poset.elements()
     height = {}  # the largest rank above x
     for x in reversed(order):  # the cofaces of x come first
@@ -379,8 +378,6 @@ def gorenstein_star(poset):
     link at a chain is the join of the poset link at the chain's largest
     element with barycentric boundary spheres of boolean intervals.
     """
-    if poset.rank > max_rank_bound():
-        raise HomologyError(f"rank {poset.rank} exceeds the configured bound")
     witnesses = [f"link of {poset.cell(x).named()} does not have the homology "
                  f"of S^{d}"
                  for x, d, hom in _links(poset) if not hom.is_sphere(d)]

@@ -345,7 +345,7 @@ class SimplicialPoset:
             seen.add(key)
         return True
 
-    # ----- meets and joins -----------------------------------------------
+    # ----- joins and faces ------------------------------------------------
 
     def join_set(self, x, y):
         """All minimal common upper bounds of x and y, sorted.
@@ -361,16 +361,26 @@ class SimplicialPoset:
         return tuple(z for z in self.by_rank(rank)
                      if x in down[z] and y in down[z])
 
-    def meet(self, x, y):
-        """The unique greatest common lower bound, or None if not unique.
+    def face(self, z, vertices):
+        """The element of [0-hat, z] whose vertex set is ``vertices``.
 
-        Uniqueness is guaranteed whenever ``join_set(x, y)`` is non-empty.
+        The interval is boolean, so there is exactly one, and every step
+        down to a cover whose atoms still contain ``vertices`` stays above
+        it.  Below a common upper bound of x and y their meet is
+        ``face(x, atoms(x) & atoms(y))``.  ValueError unless ``vertices``
+        is a subset of ``atoms(z)``.
         """
-        down = self._lower()[0]
-        common = down[x] & down[y]
-        maximal = [z for z in common
-                   if not any(w != z and z in down[w] for w in common)]
-        return maximal[0] if len(maximal) == 1 else None
+        atoms = self._atoms
+        if atoms is None:
+            atoms = self._lower()[1]
+        if not vertices <= atoms[z]:
+            raise ValueError(f"{sorted(vertices)} are not vertices of "
+                             f"{self.cells[z].named()}")
+        cells = self.cells
+        rank = len(vertices)
+        while cells[z].rank != rank:
+            z = next(y for y in cells[z].covers if vertices <= atoms[y])
+        return z
 
     # ----- numerical invariants -------------------------------------------
 
@@ -594,34 +604,24 @@ def stellar_subdivision(p, x):
     In a cell complex two cells w and x may span several minimal common
     upper bounds, and each such cell z contributes its own copy of the
     coned cell; new cells are therefore indexed by pairs (w, z) with
-    w not above x and z in join_set(w, x).  Preserves the Euler
-    characteristic (checked) and the rank.
+    w not above x and z in join_set(w, x).  These are the pairs with z in
+    the star, w below z and outside it, and atoms(z) = atoms(w) | atoms(x),
+    so only the star and its lower sets are walked.  The new cell (w, z)
+    covers w and, for each cover w2 of w, the cell (w2, face of z on
+    atoms(w2) | atoms(x)).  Preserves the Euler characteristic (checked)
+    and the rank.
     """
     if x == p.root:
         raise PosetError(["cannot subdivide at the least element"])
-    removed = {y for y in p.cells if p.leq(x, y)}  # the star of x
-    surviving = [c for c in p.cells.values() if c.id not in removed]
+    down, atoms = p._lower()
+    star = {z for z in p.cells if x in down[z]}
+    surviving = [c for c in p.cells.values() if c.id not in star]
 
-    new_cells = []  # (w, z) pairs
-    for w in p.elements():
-        if w in removed:
-            continue
-        for z in p.join_set(w, x):
-            new_cells.append((w, z))
+    ax = atoms[x]
+    new_cells = [(w, z) for z in star for w in down[z]
+                 if w not in star and atoms[w] | ax == atoms[z]]
     new_cells.sort(key=lambda wz: (p.rank_of(wz[0]), wz))
-    fresh = max(p.cells) + 1
-    ids = {}
-    for wz in new_cells:
-        ids[wz] = fresh
-        fresh += 1
-
-    # unique element of [0-hat, z] with a prescribed vertex set
-    atom_index = {}
-
-    def join_inside(w2, z):
-        if z not in atom_index:
-            atom_index[z] = {p.atoms(u): u for u in p.downset(z)}
-        return atom_index[z][p.atoms(w2) | p.atoms(x)]
+    ids = {wz: i for i, wz in enumerate(new_cells, max(p.cells) + 1)}
 
     cells = list(surviving)
     for (w, z), i in ids.items():
@@ -630,7 +630,8 @@ def stellar_subdivision(p, x):
             covers = (p.root,)
         else:
             covers = [w]
-            covers += [ids[(w2, join_inside(w2, z))] for w2 in p.covers(w)]
+            covers += [ids[(w2, p.face(z, atoms[w2] | ax))]
+                       for w2 in p.covers(w)]
             covers = tuple(sorted(covers))
         label = "b" if w == p.root else None
         cells.append(Cell(i, rk, covers, label))

@@ -1,6 +1,7 @@
 """Poset oracles: isomorphism by backtracking, the Gorenstein* test in
-its defining form on the barycentric subdivision, and links as posets
-built from ``leq``.  Slow on purpose."""
+its defining form on the barycentric subdivision, links as posets built
+from ``leq``, the meet as the greatest common lower bound, and stellar
+subdivision by a join-set scan over every element.  Slow on purpose."""
 
 from torusfan.homology import Verdict, _links
 from torusfan.poset import (Cell, PosetError, SimplicialPoset,
@@ -90,3 +91,63 @@ def link(p, x):
         covers = tuple(d for d in c.covers if c.rank > shift and p.leq(x, d))
         cells.append(Cell(y, c.rank - shift, covers, c.label))
     return SimplicialPoset._trusted(rank, cells)
+
+
+def meet(p, x, y):
+    """The unique greatest common lower bound, or None if not unique.
+
+    Uniqueness is guaranteed whenever ``join_set(x, y)`` is non-empty.
+    """
+    down = p._lower()[0]
+    common = down[x] & down[y]
+    maximal = [z for z in common
+               if not any(w != z and z in down[w] for w in common)]
+    return maximal[0] if len(maximal) == 1 else None
+
+
+def stellar_by_joins(p, x):
+    """``poset.stellar_subdivision`` with its new cells (w, z) found by
+    calling ``join_set(w, x)`` for every w outside the star of x, and
+    the face of z on a vertex set found in an index of all of [0-hat, z].
+    """
+    if x == p.root:
+        raise PosetError(["cannot subdivide at the least element"])
+    removed = {y for y in p.cells if p.leq(x, y)}  # the star of x
+    surviving = [c for c in p.cells.values() if c.id not in removed]
+
+    new_cells = []  # (w, z) pairs
+    for w in p.elements():
+        if w in removed:
+            continue
+        for z in p.join_set(w, x):
+            new_cells.append((w, z))
+    new_cells.sort(key=lambda wz: (p.rank_of(wz[0]), wz))
+    fresh = max(p.cells) + 1
+    ids = {}
+    for wz in new_cells:
+        ids[wz] = fresh
+        fresh += 1
+
+    # unique element of [0-hat, z] with a prescribed vertex set
+    atom_index = {}
+
+    def join_inside(w2, z):
+        if z not in atom_index:
+            atom_index[z] = {p.atoms(u): u for u in p.downset(z)}
+        return atom_index[z][p.atoms(w2) | p.atoms(x)]
+
+    cells = list(surviving)
+    for (w, z), i in ids.items():
+        rk = p.rank_of(w) + 1
+        if w == p.root:
+            covers = (p.root,)
+        else:
+            covers = [w]
+            covers += [ids[(w2, join_inside(w2, z))] for w2 in p.covers(w)]
+            covers = tuple(sorted(covers))
+        label = "b" if w == p.root else None
+        cells.append(Cell(i, rk, covers, label))
+    out = SimplicialPoset._trusted(p.rank, cells)
+    if out.euler_characteristic() != p.euler_characteristic():
+        raise PosetError(["stellar subdivision changed the Euler characteristic"])
+    return out

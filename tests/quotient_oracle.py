@@ -9,15 +9,16 @@ from the general straightening.
 ``cohomology.present_cohomology_ring`` finds comparable pairs and common
 upper bounds from downsets and maximal elements and builds each relation
 from its known chain monomials.  This oracle tests every pair with
-``leq`` both ways, takes the join set and meet from the poset, and builds
-each relation through ``FaceRing.element``, which checks that every
-monomial is a chain.
+``leq`` both ways, takes the join set from the poset and the meet from
+``poset_oracle.meet``, and builds each relation through
+``FaceRing.element``, which checks that every monomial is a chain.
 """
 
 from torusfan import linalg
 from torusfan.cohomology import RingPresentation
 from torusfan.facering import (FaceRing, chain_monomial_basis,
                                lsop_from_lambda, straighten_product)
+from poset_oracle import meet
 
 
 def full_row_quotient(poset, chi, char, kmax):
@@ -56,7 +57,7 @@ def pairwise_presentation(poset, chi):
             ups = poset.join_set(x, y)
             terms = []
             if ups:
-                m = poset.meet(x, y)
+                m = meet(poset, x, y)
                 for z in ups:
                     pairs = ((z, 1),) if m == poset.root else ((m, 1), (z, 1))
                     terms.append((pairs, 1))

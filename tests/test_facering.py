@@ -20,7 +20,7 @@ from torusfan.poset import (Cell, SimplicialPoset, simplex_boundary, sphere_pose
                             sphere_product_poset)
 from conftest import (SMALL_REALIZED_TARGETS, builder_family, random_surgery,
                       realized_family)
-from poset_oracle import upset
+from poset_oracle import meet, upset
 
 
 def _random_element(ring, rng, max_terms=4, max_exp=3):
@@ -119,7 +119,7 @@ def _straighten_random_order(poset, gens, rng):
         x, y = chain[i], chain[j]
         rest = tuple(chain[k] for k in range(len(chain)) if k not in (i, j))
         ups = poset.join_set(x, y)
-        m = poset.meet(x, y)
+        m = meet(poset, x, y)
         for z in ups:
             new = rest + (z,) + (() if m == poset.root else (m,))
             new = tuple(sorted(new, key=lambda v: (poset.rank_of(v), v)))

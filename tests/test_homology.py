@@ -706,8 +706,12 @@ def test_link_pass_reads_the_rank_bound_once(monkeypatch):
 
 def test_gorenstein_rank_bound(monkeypatch):
     monkeypatch.setenv("TORUSFAN_MAX_RANK", "1")
-    with pytest.raises(HomologyError):
-        gorenstein_star(_bypass_rank_guard())
+    p = _bypass_rank_guard()
+    # refused by the link pass's one guard, before any boundary is built
+    monkeypatch.setattr(homology, "_signed_boundary", None)
+    with pytest.raises(PosetError) as err:
+        gorenstein_star(p)
+    assert err.value.violations == ["rank 2 exceeds the configured bound 1"]
 
 
 def _bypass_rank_guard():

@@ -1,6 +1,7 @@
-"""Validation, f/h-vectors, meets and joins, subdivisions, sums."""
+"""Validation, f/h-vectors, joins and faces, subdivisions, sums."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -259,13 +260,13 @@ def test_cells_are_plain_records():
 
 
 # ---------------------------------------------------------------------------
-# meets and joins
+# joins, faces and meets
 
 
 def test_s4_meet_join(s4_poset):
     p = s4_poset
     assert p.join_set(1, 2) == (3, 4)
-    assert p.meet(1, 2) == p.root
+    assert oracle.meet(p, 1, 2) == p.root
     assert p.join_set(3, 4) == ()
 
 
@@ -274,14 +275,40 @@ def test_simplex_boundary_meet_join():
     v1, v2, v3 = p.vertices()
     (e,) = p.join_set(v1, v2)
     assert p.atoms(e) == {v1, v2}
-    assert p.meet(v1, v2) == p.root
+    assert oracle.meet(p, v1, v2) == p.root
 
 
 def test_meet_join_idempotent():
     p = sphere_poset(3)
     for x in p.elements():
         assert p.join_set(x, x) == (x,)
-        assert p.meet(x, x) == x
+        assert oracle.meet(p, x, x) == x
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), SURGERIES)
+def test_face_is_the_element_below_z_on_its_vertices(seed, op):
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    for z in rng.sample(p.elements(), min(len(p), 40)):
+        for y in p.downset(z):
+            assert p.face(z, p.atoms(y)) == y, (z, y)
+        outside = sorted(set(p.vertices()) - p.atoms(z))
+        if outside:
+            with pytest.raises(ValueError):
+                p.face(z, p.atoms(z) | {rng.choice(outside)})
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), SURGERIES)
+def test_meet_below_a_join_is_the_face_on_the_common_vertices(seed, op):
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    pairs = [(x, y) for x in p.cells for y in p.cells]
+    for x, y in rng.sample(pairs, min(len(pairs), 500)):
+        if p.join_set(x, y):
+            face = p.face(x, p.atoms(x) & p.atoms(y))
+            assert oracle.meet(p, x, y) == face, (x, y)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -416,6 +443,26 @@ def test_stellar_rejects_root():
     p = sphere_poset(2)
     with pytest.raises(PosetError):
         stellar_subdivision(p, p.root)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), SURGERIES)
+def test_stellar_matches_the_join_scan_at_every_cell(seed, op):
+    p = random_surgery(random.Random(seed), op)
+    for x in p.elements()[1:]:
+        assert (to_json_dict(stellar_subdivision(p, x))
+                == to_json_dict(oracle.stellar_by_joins(p, x))), x
+
+
+def test_stellar_at_a_vertex_of_sd_of_a_rank_6_sphere_within_budget():
+    # ``oracle.stellar_by_joins`` (a join_set scan per element outside the
+    # star) takes about a minute on a 2-CPU x86 host with Python
+    # 3.11; walking the star takes under a second
+    p = barycentric_subdivision(simplex_boundary(6))
+    start = time.perf_counter()
+    q = stellar_subdivision(p, p.vertices()[0])
+    assert time.perf_counter() - start < 10
+    assert q.f_vector() == p.f_vector()
 
 
 def test_stellar_sequence_is_barycentric():
