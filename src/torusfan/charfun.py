@@ -4,10 +4,14 @@ A characteristic map assigns a primitive integer n-vector to every rank-1
 element.  It is unimodular when, for every element x, the vectors on the
 vertices of x extend to a lattice basis (all Smith invariant factors 1).
 A subset of vectors that extend to a basis extends too, and every element
-lies below a maximal one.  So ``check_unimodular`` runs Smith normal form
-at the maximal elements and then only at the elements below none that
-passed; every failing element is still reached, and its violation names
-its invariant factors.  ``find_characteristic_map`` tests only the
+lies below a maximal one.  So ``check_unimodular`` tests the maximal
+elements and then only the elements below none that passed; every
+failing element is still reached, and its violation names its invariant
+factors.  At an element of rank n the matrix is square, and its factors
+are all 1 exactly when its determinant is +-1, since the determinant is
+their product up to sign; so one exact (Bareiss) determinant decides it,
+and Smith normal form runs only where that fails and on the elements of
+lower rank.  ``find_characteristic_map`` tests only the
 prefix faces of the maximal elements (the atoms of each, in id order, up
 to the vertex being assigned), so the lexicographically first map is the
 one a test at every element gives.
@@ -96,6 +100,11 @@ class CharacteristicMap:
 def check_unimodular(poset, chi):
     """True iff every element's vertex vectors have all Smith factors 1.
 
+    At an element of rank n (square, so maximal) one determinant decides
+    this: the factors are all 1 exactly when it is +-1.  Smith normal form
+    runs elsewhere, and where the determinant fails, so every violation
+    names the element's invariant factors.
+
     ``chi`` may be a CharacteristicMap or a plain {vertex: vector} dict;
     the dict form lets raw data that is not integral or not primitive come
     back as a violation instead of a constructor error.  A vector whose
@@ -118,12 +127,14 @@ def check_unimodular(poset, chi):
     def factors(x):
         # None when the vertex vectors of x extend to a lattice basis
         mat = [vectors[v] for v in sorted(poset.atoms(x))]
+        if len(mat) == poset.rank and abs(linalg.determinant(mat)) == 1:
+            return None
         found, rank = linalg.smith_normal_form(mat)
         ok = rank == poset.rank_of(x) and all(f == 1 for f in found)
         return None if ok else found
 
     # below a maximal element whose vectors extend to a basis every
-    # element's vectors do too, so only the rest need a Smith normal form
+    # element's vectors do too, so only the rest need a test
     at_maximal = {m: factors(m) for m in poset.maximal_elements()
                   if poset.rank_of(m) >= 2}
     unimodular = set()
@@ -311,9 +322,6 @@ class GKMGraph:
         for e in edges:
             for v in e.ends:
                 self._labels_at.setdefault(v, {})[e.id] = e.label_at(v)
-
-    def edges_at(self, vertex):
-        return tuple(sorted(self._labels_at.get(vertex, {})))
 
     def label(self, vertex, edge_id):
         return self._labels_at[vertex][edge_id]

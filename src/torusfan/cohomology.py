@@ -12,6 +12,23 @@ and the parity test reads the same table.  The ring presentation lists
 the straightening and linear relations; it finds the pairs with a common
 upper bound from the maximal elements above each cell.
 
+Each degree's basis comes from the vertex products one degree down,
+which the rows need anyway: the chain monomials of degree 2k >= 2 are
+exactly the terms of v * m' over the vertices v and the chain monomials
+m' of degree 2k - 2, so no chain is enumerated.  Each term has degree
+2k.  Conversely, take m = x_1^a_1 ... x_q^a_q of degree 2k and let x_0 be
+the least element.  The interval below x_q is boolean (Stanley 1991),
+so a coatom y of [x_{q-1}, x_q] is the face of x_q on all its vertices
+but one, v, and v lies below no x_i with i < q.  Trading one copy of x_q
+for y (none when y = x_0) gives m' of degree 2k - 2, and m is a term of
+v * m' by the closed form of ``facering.vertex_products``.  When a_q = 1,
+y is the top of m' and v lies below no element of m', so one copy of y
+becomes each upper cover of y above v, x_q among them.  When a_q > 1, v
+first lies below x_q, which follows y in m', so one copy of y becomes
+the one upper cover of y below x_q and above v, which is x_q.  When
+y = x_0, x_q is the vertex v and m' = v^(a_q - 1), which v joins at its
+bottom (v * 1 = v when a_q = 1).
+
 Rows are added theta by theta, and a row theta_j * m is left out when m
 became a pivot column one degree down while the rows of theta_1 ..
 theta_{j-1} were added (Faugere's F5 criterion, ISSAC 2002).  The span
@@ -28,8 +45,8 @@ added row reduces to zero.
 from __future__ import annotations
 
 from . import linalg
-from .facering import (FaceRing, RingElement, chain_monomial_basis,
-                       lsop_from_lambda, upper_covers, vertex_products)
+from .facering import (FaceRing, RingElement, lsop_from_lambda, monomial_key,
+                       upper_covers, vertex_products)
 from .poset import Record, TorusfanError
 
 
@@ -49,22 +66,28 @@ def _covered_vertices(poset, chi):
 
 def _quotient(poset, chi, char, kmax):
     """For each degree 2k, k <= kmax: {chain monomial: position} over the
-    chain-monomial basis; the Span over GF(char), or Q for char 0, of the
-    rows theta_j * m for every j and every monomial m of degree 2k - 2,
-    less the rows that the row criterion (module docstring) shows
-    redundant; and the products behind those rows: per monomial m, one
-    (column of v * m, chi(v), v) triple per term of each vertex product."""
+    chain-monomial basis, which is the set of terms of the vertex products
+    one degree down (module docstring), in the canonical order; the Span
+    over GF(char), or Q for char 0, of the rows theta_j * m for every j
+    and every monomial m of degree 2k - 2, less the rows that the row
+    criterion shows redundant; and the products behind those rows: per
+    monomial m, one (column of v * m, chi(v), v) triple per term of each
+    vertex product.  A negative kmax raises ValueError."""
+    linalg.check_nonnegative(kmax)
     vectors = {v: chi.vec(v) for v in _covered_vertices(poset, chi)}
     upper = upper_covers(poset)
+    index, products = {(): 0}, []
     out = []
     since = {}  # pivot column one degree down -> the j whose rows made it
     for k in range(kmax + 1):
-        index = {m: i for i, m in enumerate(chain_monomial_basis(poset, k))}
+        if k:
+            found = [vertex_products(poset, m, upper) for m in index]
+            index = {m: i for i, m in enumerate(sorted(
+                {m for terms in found for _, m in terms}, key=monomial_key))}
+            # products by distinct vertices share no monomial
+            products = [[(index[m], vectors[v], v) for v, m in terms]
+                        for terms in found]
         span = linalg.Span(char)
-        # products by distinct vertices share no monomial
-        products = [[(index[mono], vectors[v], v)
-                     for v, mono in vertex_products(poset, m, upper)]
-                    for m in out[-1][0]] if out else []
         pivots = {}
         for j in range(chi.n):
             for i, terms in enumerate(products):

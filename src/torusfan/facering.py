@@ -439,8 +439,14 @@ def chain_monomial_basis(poset, k):
     for x in sorted(poset.cells):
         if x != poset.root:
             extend((), x, k)
-    return sorted(out, key=lambda m: (tuple(x for x, _ in m),
-                                      tuple(a for _, a in m)))
+    return sorted(out, key=monomial_key)
+
+
+def monomial_key(m):
+    """Sort key of the canonical order of chain monomials of one degree,
+    lexicographic on the chain ids, then on the exponents: ((ids),
+    (exponents)), and () for the monomial 1."""
+    return tuple(zip(*m))
 
 
 def series_coefficient(h, n, k):
@@ -507,8 +513,7 @@ def format_element(element):
     poset = element.ring.poset
     items = sorted(element.terms.items(),
                    key=lambda mc: (monomial_degree(poset, mc[0]),
-                                   tuple(x for x, _ in mc[0]),
-                                   tuple(a for _, a in mc[0])))
+                                   monomial_key(mc[0])))
     parts = []
     for mono, coeff in items:
         factors = [f"x{x}^{a}" if a > 1 else f"x{x}" for x, a in mono]

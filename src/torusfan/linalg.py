@@ -14,7 +14,9 @@ pivots with row and column steps down to remainders, and gcd/lcm on the
 diagonal (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
 Dumas-Saunders-Villard, JSC 2001).  The homology code calls it on what its
 coreductions leave; the characteristic-map checks call
-``smith_normal_form``, its dense-matrix front end.
+``smith_normal_form``, its dense-matrix front end.  ``determinant`` is
+fraction-free (Bareiss) elimination; a square matrix has every Smith
+factor 1 exactly when its determinant is +-1.
 
 ``check_nonnegative`` is the one rule for a search bound or a largest
 degree: a negative one is refused.
@@ -134,8 +136,10 @@ class Span:
         return len(self.rows)
 
     def _residue(self, row, keep):
-        # entries are taken mod char here and nowhere else; with keep, a
-        # non-pivot column moves to the residue and elimination goes on
+        # entries are taken mod char here and nowhere else.  Without keep,
+        # elimination stops at the first non-pivot column c, and (c, rest)
+        # comes back; with keep, such a column moves to the residue and
+        # elimination goes on, and (None, residue) comes back
         p, rows, out = self.char, self.rows, {}
         r = {k: w for k, v in row.items() if (w := v % p if p else v)}
         while r:
@@ -143,7 +147,7 @@ class Span:
             q = rows.get(c)
             if q is None:
                 if not keep:
-                    return r
+                    return c, r
                 out[c] = r.pop(c)
             elif p:
                 # q is monic, so r - r[c] q clears column c; r is a copy
@@ -156,13 +160,12 @@ class Span:
                         del r[k]
             else:
                 r = _clear(r, q, c)
-        return out
+        return None, out
 
     def add(self, row):
         """Insert a row; return True if the span grew."""
-        r = self._residue(row, False)
+        c, r = self._residue(row, False)
         if r:
-            c = min(r)
             lead = r[c]
             if lead != 1 and self.char:
                 inv = pow(lead, -1, self.char)
@@ -179,7 +182,7 @@ class Span:
         whether a row lies in the span."""
         if not self.char:
             raise ValueError("Span.reduce needs a prime characteristic")
-        return self._residue(row, True)
+        return self._residue(row, True)[1]
 
 
 def smith_normal_form(mat):
@@ -278,6 +281,39 @@ def _snf(rows):
             g = gcd(chain[a], chain[b])
             chain[a], chain[b] = g, chain[a] // g * chain[b]
     return [1] * (len(diagonal) - len(chain)) + chain, len(diagonal)
+
+
+def determinant(mat):
+    """Exact determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination: after step k every entry left is a k+1 by k+1
+    minor, so each division by the previous pivot is exact (Bareiss,
+    Math. Comp. 22, 1968).
+
+    >>> determinant([[2, 1], [7, 4]]), determinant([[0, 1], [1, 0]])
+    (1, -1)
+    >>> determinant([]), determinant([[2, 4], [1, 2]])
+    (1, 0)
+    """
+    a = [list(map(index, row)) for row in mat]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return sign * prev
 
 
 def rank(mat, char=0):

@@ -45,6 +45,11 @@ def _is_connected(graph):
     return len(seen) == len(graph.vertices)
 
 
+def _edges_at(graph, vertex):
+    """The ids of the GKM edges at a vertex, sorted."""
+    return tuple(sorted(e.id for e in graph.edges if vertex in e.ends))
+
+
 def _tuple_degree(eta):
     """The common degree of the nonzero polynomials of a restriction tuple
     (-1 when all are zero); GKMError when they differ."""
@@ -354,16 +359,24 @@ def test_check_unimodular_matches_oracle_on_random_maps():
     assert failing >= 100
 
 
-def test_check_unimodular_runs_one_snf_per_maximal_element(monkeypatch):
-    calls = []
-    real = linalg.smith_normal_form
+def test_check_unimodular_takes_one_determinant_per_top_and_no_snf(monkeypatch):
+    dets, snfs = [], []
+    det, snf = linalg.determinant, linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "determinant",
+                        lambda mat: dets.append(mat) or det(mat))
     monkeypatch.setattr(linalg, "smith_normal_form",
-                        lambda mat: calls.append(mat) or real(mat))
+                        lambda mat: snfs.append(mat) or snf(mat))
     for h in ([1, 3, 3, 1], [1, 2, 2, 2, 1]):
         result = realize_with_lambda(h)
-        calls.clear()
-        assert check_unimodular(result.poset, result.chi)[0]
-        assert len(calls) == len(result.poset.maximal_elements()), h
+        p, chi = result.poset, result.chi
+        dets.clear()
+        snfs.clear()
+        assert check_unimodular(p, chi)[0]
+        assert snfs == [], h
+        tops = p.maximal_elements()
+        assert all(p.rank_of(t) == p.rank for t in tops)
+        assert sorted(dets) == sorted([chi.vec(v) for v in sorted(p.atoms(t))]
+                                      for t in tops), h
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +389,8 @@ def test_s4_gkm_labels_and_signs():
     assert len(g.vertices) == 2 and len(g.edges) == 2
     for e in g.edges:
         assert e.sign == 1  # both orientations carry the same label here
-    labels = {tuple(g.label(v, e)) for v in g.vertices for e in g.edges_at(v)}
+    labels = {tuple(g.label(v, e))
+              for v in g.vertices for e in _edges_at(g, v)}
     assert labels == {(1, 0), (0, 1)}
 
 
@@ -401,7 +415,7 @@ def test_dual_basis_pairing_identity():
         g = build_gkm_graph(p, chi)
         for v in g.vertices:
             atoms = sorted(p.atoms(v))
-            for e in g.edges_at(v):
+            for e in _edges_at(g, v):
                 (omitted,) = p.atoms(v) - p.atoms(e)
                 label = g.label(v, e)
                 for a in atoms:
@@ -419,7 +433,7 @@ def test_vertex_labels_form_basis():
     for p, chi in (cp2_chi(), sphere_chi(3)):
         g = build_gkm_graph(p, chi)
         for v in g.vertices:
-            mat = [list(g.label(v, e)) for e in g.edges_at(v)]
+            mat = [list(g.label(v, e)) for e in _edges_at(g, v)]
             assert abs(_det(mat)) == 1
 
 

@@ -111,6 +111,30 @@ def test_quotient_names_missing_vertices():
             call(p, chi)
 
 
+def test_quotient_refuses_a_negative_degree_bound():
+    p, chi = realized_family([(1, 3, 3, 1)])[(1, 3, 3, 1)]
+    for call in (quotient_dimensions, graded_quotient_basis):
+        with pytest.raises(ValueError, match="non-negative"):
+            call(p, chi, 2, -1)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["base", "join", "connected_sum", "stellar",
+                        "barycentric"]))
+def test_quotient_basis_is_the_chain_monomial_basis(seed, op):
+    # the columns come from the vertex products one degree down; the
+    # surgeries include posets that are not simplicial complexes
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    chi = CharacteristicMap(p.rank, {v: (1,) + (0,) * (p.rank - 1)
+                                     for v in p.vertices()})
+    quotient = cohomology._quotient(p, chi, 2, p.rank + 1)
+    for k, (index, _, _) in enumerate(quotient):
+        assert list(index) == facering.chain_monomial_basis(p, k), k
+        assert list(index.values()) == list(range(len(index)))
+
+
 # ---------------------------------------------------------------------------
 # the row criterion against the quotient with every row
 

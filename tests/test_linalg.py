@@ -199,6 +199,43 @@ def test_snf_matches_sympy():
         assert (factors, r) == (expected, len(expected)), mat
 
 
+def test_determinant_matches_sympy():
+    rng = random.Random(17)
+    mats = [[], [[0]], [[-7]], [[10 ** 6]]]
+    for n in range(1, 7):
+        for spread, density in ((1, 0.4), (4, 0.7), (10 ** 6, 1.0)):
+            for _ in range(6):
+                mats.append(_random_matrix(rng, n, n, spread, density))
+                # singular: a rank-deficient product, and a repeated row
+                # plus a multiple of another
+                k = rng.randint(0, n - 1)
+                mats.append(_product(_random_matrix(rng, n, k, spread),
+                                     _random_matrix(rng, k, n, spread))
+                            if k else [[0] * n for _ in range(n)])
+                if n > 1:
+                    a = _random_matrix(rng, n, n, spread, density)
+                    i, j = rng.sample(range(n), 2)
+                    f = rng.randint(-3, 3)
+                    a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+                    a[j] = list(a[i])
+                    mats.append(a)
+        mats.append(_unimodular(rng, n))
+    singular = 0
+    for mat in mats:
+        n = len(mat)
+        expected = Matrix(n, n, [x for row in mat for x in row]).det(
+            method="berkowitz")
+        assert linalg.determinant(mat) == expected, mat
+        singular += not expected
+    assert singular >= 60
+
+
+def test_determinant_rejects_a_matrix_that_is_not_square():
+    for mat in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.determinant(mat)
+
+
 # diagonal entries: units, 0, composites and repeated primes
 DIAGONAL = (1, -1, 0, 2, 4, 6, 10, -3, 3, 9, 5, 25, 7)
 
@@ -276,7 +313,7 @@ def test_invert_unimodular_errors_match_dense_oracle():
 def test_non_integer_entries_raise(entry):
     mat = [[1, 0], [entry, 3]]
     calls = (linalg.smith_normal_form, linalg.rank, lambda m: linalg.rank(m, 3),
-             linalg.invert_unimodular)
+             linalg.invert_unimodular, linalg.determinant)
     for call in calls:
         with pytest.raises(TypeError):
             call(mat)
@@ -288,6 +325,7 @@ def test_inputs_are_not_modified():
     linalg.smith_normal_form(mat)
     linalg.rank(mat)
     linalg.rank(mat, 3)
+    linalg.determinant(mat)
     rows = [dict(enumerate(row)) for row in mat]
     span = linalg.Span(3)
     for row in rows:
