@@ -302,10 +302,6 @@ class GKMEdge(Record):
     def label_at(self, vertex):
         return self.labels[self.ends.index(vertex)]
 
-    def other_end(self, vertex):
-        p, q = self.ends
-        return q if vertex == p else p
-
 
 class GKMGraph:
     """The labelled 1-skeleton: top cells, doubled-edge aware."""

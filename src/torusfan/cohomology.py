@@ -9,8 +9,10 @@ the parity test evaluates the product of (1 + v_i) over the vertices in
 its mod 2 reduction.  The vertex products behind the rows are computed
 once per monomial, from the upper covers (``facering.vertex_products``),
 and the parity test reads the same table.  The ring presentation lists
-the straightening and linear relations; it finds the pairs with a common
-upper bound from the maximal elements above each cell.
+the straightening and linear relations; it tests every pair of cells, so
+it builds one table of downsets for the pass, decides comparability and
+joins from it, and finds the pairs with a common upper bound from the
+maximal elements above each cell.
 
 Each degree's basis comes from the vertex products one degree down,
 which the rows need anyway: the chain monomials of degree 2k >= 2 are
@@ -157,14 +159,18 @@ def present_cohomology_ring(poset, chi):
     straightening relations, and the n linear relations read off the
     characteristic map."""
     ring = FaceRing(poset)
-    ids = [x for x in poset.elements() if x != poset.root]
+    elements = poset.elements()
+    ids = elements[1:]
     gens = tuple((x, 2 * poset.rank_of(x), poset.cell(x).label) for x in ids)
-    down = {x: poset.downset(x) for x in ids}
+    # one downset table for the pass, built bottom-up: every pair is tested
+    down = {}
+    for x in elements:
+        down[x] = frozenset((x,)).union(*map(down.__getitem__, poset.covers(x)))
     # the maximal elements above each cell: two cells have a common upper
     # bound iff these sets meet
     above = {x: set() for x in ids}
     for t in poset.maximal_elements():
-        for x in poset.downset(t):
+        for x in down[t]:
             if x != poset.root:
                 above[x].add(t)
     relations = []
@@ -179,14 +185,18 @@ def present_cohomology_ring(poset, chi):
             if above_x.isdisjoint(above[y]):
                 relations.append((x, y, zero))
                 continue
-            # below a common upper bound the interval is boolean, so the
-            # meet is the face of x on the common vertices
-            common = atoms_x & poset.atoms(y)
+            # the joins are the common upper bounds of rank |atoms(x) |
+            # atoms(y)| (``join_set``); below one the interval is boolean,
+            # so the meet is the face of x on the common vertices
+            atoms_y = poset.atoms(y)
+            joins = [z for z in poset.by_rank(len(atoms_x | atoms_y))
+                     if x in down[z] and y in down[z]]
+            common = atoms_x & atoms_y
             if common:
                 m = poset.face(x, common)
-                terms = {((m, 1), (z, 1)): 1 for z in poset.join_set(x, y)}
+                terms = {((m, 1), (z, 1)): 1 for z in joins}
             else:
-                terms = {((z, 1),): 1 for z in poset.join_set(x, y)}
+                terms = {((z, 1),): 1 for z in joins}
             relations.append((x, y, RingElement(ring, terms)))
     linear = tuple(lsop_from_lambda(ring, chi))
     return RingPresentation(gens, tuple(relations), linear)

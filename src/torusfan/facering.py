@@ -184,9 +184,8 @@ def vertex_products(poset, m, upper):
         head = m[:i - 1] + (((p, a - 1),) if a > 1 else ())
         if i < len(m):
             tail = m[i:]
-            below = poset.downset(tail[0][0])
             out += [(v, head + _prepend(w, tail))
-                    for w, v in upper[p] if w in below]
+                    for w, v in upper[p] if poset.leq(w, tail[0][0])]
         else:
             out += [(v, head + ((z, 1),)) for z, v in upper[p]]
     return out
@@ -210,9 +209,6 @@ class RingElement:
 
     def is_zero(self):
         return not self.terms
-
-    def degrees(self):
-        return sorted({monomial_degree(self.ring.poset, m) for m in self.terms})
 
     def __add__(self, other):
         self.ring.require_same(other)
@@ -380,36 +376,22 @@ def graded_dimension(poset, k):
 
 
 def graded_dimensions(poset, kmax):
-    """[graded_dimension(poset, k) for k in range(kmax + 1)]: the chain
-    monomials are counted down the poset's downsets, with one memo for
-    every degree, since the count of those ending at x with weight w does
-    not depend on k.  A negative kmax raises ValueError."""
+    """[graded_dimension(poset, k) for k in range(kmax + 1)], counted by
+    rank.  The interval below a cell of rank r is boolean, with C(r, s)
+    elements of rank s, so the number ending[r][w] of chain monomials of
+    weight w whose largest element is that cell depends on r alone: the
+    cell carries an exponent a >= 1, and the rest, of weight w - a*r, ends
+    at one of those elements of rank s < r (at 0-hat when it is 1).  The
+    count of weight k sums ending[r][k] against the f-vector.  A negative
+    kmax raises ValueError."""
     check_nonnegative(kmax)
-    memo = {}
-
-    def ending_at(x, w):
-        # chain monomials of weight w whose largest element is x
-        key = (x, w)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        r = poset.rank_of(x)
-        total = 0
-        a = 1
-        while a * r <= w:
-            rem = w - a * r
-            if rem == 0:
-                total += 1
-            else:
-                for y in poset.downset(x):
-                    if y != x and y != poset.root:
-                        total += ending_at(y, rem)
-            a += 1
-        memo[key] = total
-        return total
-
-    elements = [x for x in poset.cells if x != poset.root]
-    return [1 if k == 0 else sum(ending_at(x, k) for x in elements)
+    ending = [[1] + [0] * kmax] + [[0] * (kmax + 1) for _ in range(poset.rank)]
+    for r in range(1, poset.rank + 1):
+        for w in range(r, kmax + 1):
+            ending[r][w] = sum(comb(r, s) * ending[s][rem]
+                               for rem in range(w - r, -1, -r) for s in range(r))
+    f = (1,) + poset.f_vector()
+    return [sum(f[r] * ending[r][k] for r in range(poset.rank + 1))
             for k in range(kmax + 1)]
 
 

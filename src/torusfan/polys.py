@@ -43,12 +43,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def degree(self):
-        """Total degree, or -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
-
     def __add__(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")

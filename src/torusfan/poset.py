@@ -9,24 +9,29 @@ cells are identified by ids rather than vertex sets.
 An element of rank k corresponds to a (k-1)-dimensional cell; the rank-1
 elements are the vertices.  ``atoms(x)`` is the vertex set of the cell x.
 
-Validation decides the boolean lower intervals with three counts per cell
-x of rank k, once the first pass has checked that every x of rank k >= 1
-covers exactly k distinct elements of rank k - 1 and that 0-hat is the
-one element of rank 0: |atoms(x)| = k, |[0-hat, x]| = 2^k, and the k
-covers of x have pairwise distinct atom sets.  Every cell passes these
-exactly when every lower interval is boolean.  A boolean interval passes
-them.  Conversely, by induction on k: each cover y of x has a boolean
-interval with k - 1 atoms, so the k distinct atom sets of the covers are
-all the (k-1)-subsets of atoms(x).  Every proper subset of atoms(x) lies
-in one of them, so it is the atom set of an element below that cover;
-every element below x lies below a cover, so its atom set is proper.
-By the second count, the 2^k - 1 elements below x carry the 2^k - 1
-proper subsets one to one, x carries atoms(x), and u <= w exactly when
-atoms(u) is a subset of atoms(w).  The third count is needed: a rank-3
-cell x over the edges {a, b}, {a, b}' and {b, c} has three atoms and
-eight elements in [0-hat, x], yet two of them share the vertex set
-{a, b}.  Only a table that fails the counts is walked segment by
-segment, to name what fails.
+Validation decides the boolean lower intervals with three local counts
+per cell x of rank k, once the first pass has checked that every x of
+rank k >= 1 covers exactly k distinct elements of rank k - 1 and that
+0-hat is the one element of rank 0: |atoms(x)| = k, the k covers of x
+have pairwise distinct atom sets, and the covers of the covers of x
+number exactly C(k, 2).  Every cell passes these exactly when every
+lower interval is boolean.  A boolean interval passes them.  Conversely,
+by induction on k: each cover y of x has a boolean interval with k - 1
+atoms, so the k distinct atom sets of the covers are all the
+(k-1)-subsets of atoms(x), and each (k-2)-subset S lies in exactly two
+of them.  Each of those two covers has one cover on S, so the third
+count is met exactly when those two are one element, f(S), for every S.
+Then every element below x lies below a cover, and two covers y, y'
+holding a proper subset T both hold the one element of [0-hat, f(S)] on
+T, where S is the vertex set they share; so [0-hat, x] holds one element
+on each proper subset of atoms(x), x holds atoms(x), and u <= w exactly
+when atoms(u) is a subset of atoms(w).  The second count is needed: a
+rank-3 cell x over the edges {a, b}, {a, b}' and {b, c} has three atoms
+and three covers of covers, yet two of its covers share the vertex set
+{a, b}.  So is the third: a rank-4 cell whose triangles {a, b, c} and
+{a, b, d} cover twin edges on {a, b} has four atoms and covers with
+distinct atom sets, yet seven covers of covers.  Only a table that fails
+the counts is walked segment by segment, to name what fails.
 """
 
 from __future__ import annotations
@@ -113,17 +118,25 @@ def _rank_violations(rank):
     return []
 
 
-def _lower_sets(cells):
-    """Downsets and atom sets of a cell table whose covers are rank-strict
-    (so the order is acyclic and the downsets can be built bottom-up)."""
-    downsets = {}
+def _atom_sets(cells):
+    """The atom set of every cell of a table whose covers are rank-strict
+    (so the order is acyclic and the sets can be built bottom-up): a vertex
+    is its own, and any other cell takes the union of its covers'."""
+    atoms = {}
     for c in sorted(cells, key=lambda c: c.rank):
-        down = {c.id}
-        for d in c.covers:
-            down.update(downsets[d])
-        downsets[c.id] = frozenset(down)
-    atom_ids = {c.id for c in cells if c.rank == 1}
-    return downsets, {c.id: downsets[c.id] & atom_ids for c in cells}
+        atoms[c.id] = (frozenset((c.id,)) if c.rank == 1 else
+                       frozenset().union(*map(atoms.__getitem__, c.covers)))
+    return atoms
+
+
+def _downset(table, x):
+    """The elements of the table {id: Cell} below or equal to x, walked
+    down the covers."""
+    down = level = {x}
+    while level:
+        level = {d for y in level for d in table[y].covers}
+        down |= level
+    return frozenset(down)
 
 
 def poset_violations(rank, cells):
@@ -132,7 +145,7 @@ def poset_violations(rank, cells):
 
 
 def _validate(rank, cells):
-    """(violations, lower sets): the lower sets are ``_lower_sets`` of the
+    """(violations, atom sets): the atom sets are ``_atom_sets`` of the
     table, built once the covers are known to be rank-strict, else None."""
     problems = _rank_violations(rank)
     if problems:
@@ -172,28 +185,28 @@ def _validate(rank, cells):
     if problems:
         return problems, None
 
-    lower = _lower_sets(table.values())
-    if not _boolean_counts(table.values(), *lower):
-        problems = _segment_violations(table, *lower)
-    return problems, lower
+    atoms = _atom_sets(table.values())
+    if not _boolean_counts(table, atoms):
+        problems = _segment_violations(table, atoms)
+    return problems, atoms
 
 
-def _boolean_counts(cells, downsets, atoms):
-    """Whether every cell x of rank k has k atoms, 2^k elements below it
-    and covers with pairwise distinct atom sets: for a table that passed
-    the first pass of ``_validate``, whether every lower interval is
-    boolean (module docstring)."""
+def _boolean_counts(table, atoms):
+    """Whether every cell x of rank k has k atoms, covers with pairwise
+    distinct atom sets and C(k, 2) covers of covers: for a table
+    {id: Cell} that passed the first pass of ``_validate``, whether every
+    lower interval is boolean (module docstring)."""
     atom_set = atoms.__getitem__
-    for c in cells:
+    for c in table.values():
         k = c.rank
-        x = c.id
-        if (len(atoms[x]) != k or len(downsets[x]) != 1 << k
-                or len(set(map(atom_set, c.covers))) != k):
+        if (len(atoms[c.id]) != k or len(set(map(atom_set, c.covers))) != k
+                or len({d for y in c.covers for d in table[y].covers})
+                != k * (k - 1) // 2):
             return False
     return True
 
 
-def _segment_violations(table, downsets, atoms):
+def _segment_violations(table, atoms):
     """The non-boolean lower segments, found by walking each segment."""
     problems = []
     for c in table.values():
@@ -203,7 +216,7 @@ def _segment_violations(table, downsets, atoms):
                 f"{c.named()}: non-boolean lower segment ({len(atoms[c.id])} "
                 f"vertices for rank {k})")
             continue
-        segment = downsets[c.id]
+        segment = _downset(table, c.id)
         by_rank_count = {}
         seen_atom_sets = set()
         injective = True
@@ -234,52 +247,55 @@ class SimplicialPoset:
 
     Builders and surgery make simplicial posets by construction (Stanley
     1991); ``_trusted`` indexes those, checking only the rank bound, and
-    builds their downsets and atom sets on first use.  The validating
-    constructor indexes from the downsets and atom sets that its
-    validation built, so either path builds them at most once.
+    builds their atom sets on first use.  The validating constructor
+    indexes from the atom sets that its validation built, so either path
+    builds them at most once.
 
-    No upward index is kept: the homology pass reads each link off the
-    cofaces of its signed boundary, and the upper set of x is
-    ``{y for y in p.cells if p.leq(x, y)}``.
+    The atom sets are the one index: every lower interval is boolean, so
+    they and the covers decide the order (``leq``), a downset is walked
+    down the covers when asked for, and no upward index is kept.  The
+    homology pass reads each link off the cofaces of its signed boundary;
+    the upper set of x is ``{y for y in p.cells if p.leq(x, y)}``.
     """
 
-    __slots__ = ("rank", "cells", "root", "_downsets", "_atoms", "_by_rank")
+    __slots__ = ("rank", "cells", "root", "_atoms", "_by_rank")
 
     def __init__(self, rank, cells):
         cells = tuple(cells)
-        problems, lower = _validate(rank, cells)
+        problems, atoms = _validate(rank, cells)
         if problems:
             raise PosetError(problems)
-        self._index(rank, cells, lower)
+        self._index(rank, cells, atoms)
 
     @classmethod
-    def _trusted(cls, rank, cells, lower=None):
-        """A poset built by construction; ``lower``, when given, is its
-        (downsets, atom sets), as ``_lower_sets`` would build them."""
+    def _trusted(cls, rank, cells, atoms=None):
+        """A poset built by construction; ``atoms``, when given, is its
+        atom sets, as ``_atom_sets`` would build them."""
         problems = _rank_violations(rank)
         if problems:
             raise PosetError(problems)
         self = cls.__new__(cls)
-        self._index(rank, tuple(cells), lower)
+        self._index(rank, tuple(cells), atoms)
         return self
 
-    def _index(self, rank, cells, lower=None):
+    def _index(self, rank, cells, atoms=None):
         self.rank = rank
         self.cells = {c.id: c for c in cells}
-        # from validation or construction, or built on first use (``_lower``)
-        self._downsets, self._atoms = lower or (None, None)
+        # from validation or construction, or built on first use
+        self._atoms = atoms
         by_rank = [[] for _ in range(rank + 1)]
         for c in cells:
             by_rank[c.rank].append(c.id)
         self._by_rank = tuple(tuple(sorted(ids)) for ids in by_rank)
         self.root = self._by_rank[0][0]
 
-    def _lower(self):
-        """(downsets, atom sets), built on the first call for a trusted
-        poset: one that is only written out or counted never needs them."""
-        if self._downsets is None:
-            self._downsets, self._atoms = _lower_sets(self.cells.values())
-        return self._downsets, self._atoms
+    def _atom_table(self):
+        """{x: atoms(x)}, built on the first call for a trusted poset: one
+        that is only written out or counted never needs it.  The table is
+        never empty (it holds 0-hat), so ``self._atoms or`` reads it."""
+        if self._atoms is None:
+            self._atoms = _atom_sets(self.cells.values())
+        return self._atoms
 
     # ----- basic queries -------------------------------------------------
 
@@ -316,34 +332,25 @@ class SimplicialPoset:
         return all(self.rank_of(x) == self.rank for x in self.maximal_elements())
 
     def leq(self, x, y):
-        down = self._downsets
-        if down is None:
-            down = self._lower()[0]
-        return x in down[y]
+        """x <= y: the boolean interval [0-hat, y] holds one element on
+        atoms(x) when they are vertices of y, and x is below y exactly when
+        that element is x."""
+        atoms = self._atoms or self._atom_table()
+        return atoms[x] <= atoms[y] and self.face(y, atoms[x]) == x
 
     def downset(self, x):
-        down = self._downsets
-        if down is None:
-            down = self._lower()[0]
-        return down[x]
+        """The elements below or equal to x, walked down the covers."""
+        return _downset(self.cells, x)
 
     def atoms(self, x):
         """Ids of the rank-1 elements below x (the vertex set of the cell)."""
-        atoms = self._atoms
-        if atoms is None:
-            atoms = self._lower()[1]
+        atoms = self._atoms or self._atom_table()
         return atoms[x]
 
     def is_simplicial_complex(self):
         """True when every cell is determined by its vertex set."""
-        atoms = self._lower()[1]
-        seen = set()
-        for x in self.cells:
-            key = atoms[x]
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        atoms = self._atom_table()
+        return len(set(atoms.values())) == len(atoms)
 
     # ----- joins and faces ------------------------------------------------
 
@@ -354,12 +361,15 @@ class SimplicialPoset:
         below an upper bound z the interval [0-hat, z] is boolean, so it
         holds one element with exactly that vertex set, and it lies above
         both x and y; an upper bound has at least those vertices, so none
-        of that rank has another bound below it.
+        of that rank has another bound below it.  Each is read off the
+        atom sets, with x and y as its faces (``leq``).
         """
-        down, atoms = self._lower()
-        rank = len(atoms[x] | atoms[y])
-        return tuple(z for z in self.by_rank(rank)
-                     if x in down[z] and y in down[z])
+        atoms = self._atom_table()
+        ax, ay = atoms[x], atoms[y]
+        both = ax | ay
+        return tuple(z for z in self.by_rank(len(both))
+                     if atoms[z] == both and self.face(z, ax) == x
+                     and self.face(z, ay) == y)
 
     def face(self, z, vertices):
         """The element of [0-hat, z] whose vertex set is ``vertices``.
@@ -370,16 +380,17 @@ class SimplicialPoset:
         ``face(x, atoms(x) & atoms(y))``.  ValueError unless ``vertices``
         is a subset of ``atoms(z)``.
         """
-        atoms = self._atoms
-        if atoms is None:
-            atoms = self._lower()[1]
+        atoms = self._atoms or self._atom_table()
         if not vertices <= atoms[z]:
             raise ValueError(f"{sorted(vertices)} are not vertices of "
                              f"{self.cells[z].named()}")
         cells = self.cells
         rank = len(vertices)
         while cells[z].rank != rank:
-            z = next(y for y in cells[z].covers if vertices <= atoms[y])
+            for y in cells[z].covers:
+                if vertices <= atoms[y]:
+                    z = y
+                    break
         return z
 
     # ----- numerical invariants -------------------------------------------
@@ -495,10 +506,10 @@ def connected_sum(p1, top1, p2, top2, matching=None):
 
     ``matching`` maps atoms of top1 to atoms of top2; by default the sorted
     vertex lists are matched in order.  The interior entries of the
-    h-vector add; this is checked.  The result carries its downsets and
-    atom sets: p1's as they are, p2's renamed, so no pass of
-    ``_lower_sets`` rebuilds them, and an operand glued into many sums
-    (a shared building block) has its own built once.  p2's cells other
+    h-vector add; this is checked.  The result carries its atom sets:
+    p1's as they are, p2's renamed, so no pass of ``_atom_sets`` rebuilds
+    them, and an operand glued into many sums (a shared building block)
+    has its own built once.  p2's cells other
     than the glued ones are copied under fresh ids, so p1 and p2 may be
     the same value: P # P needs no second copy of P.
     """
@@ -538,19 +549,16 @@ def connected_sum(p1, top1, p2, top2, matching=None):
     # every element of p2 but top2, which lies below nothing
     image = {**identified, **rename}.__getitem__
 
-    # top1 lies below nothing, so p1's other lower sets carry over as they
+    # top1 lies below nothing, so p1's other atom sets carry over as they
     # are; p2's carry over renamed
-    down1, atoms1 = p1._lower()
-    down2, atoms2 = p2._lower()
-    downsets = {y: s for y, s in down1.items() if y != top1}
-    atoms = {y: s for y, s in atoms1.items() if y != top1}
+    atoms2 = p2._atom_table()
+    atoms = {y: s for y, s in p1._atom_table().items() if y != top1}
     for y, new_id in rename.items():
         c = p2.cell(y)
         covers = tuple(sorted(map(image, c.covers)))
         cells.append(Cell(new_id, c.rank, covers, c.label))
-        downsets[new_id] = frozenset(map(image, down2[y]))
         atoms[new_id] = frozenset(map(image, atoms2[y]))
-    out = SimplicialPoset._trusted(n, cells, (downsets, atoms))
+    out = SimplicialPoset._trusted(n, cells, atoms)
 
     h, h1, h2 = out.h_vector(), p1.h_vector(), p2.h_vector()
     expect = [h1[i] + h2[i] for i in range(n + 1)]
@@ -606,19 +614,19 @@ def stellar_subdivision(p, x):
     coned cell; new cells are therefore indexed by pairs (w, z) with
     w not above x and z in join_set(w, x).  These are the pairs with z in
     the star, w below z and outside it, and atoms(z) = atoms(w) | atoms(x),
-    so only the star and its lower sets are walked.  The new cell (w, z)
-    covers w and, for each cover w2 of w, the cell (w2, face of z on
-    atoms(w2) | atoms(x)).  Preserves the Euler characteristic (checked)
-    and the rank.
+    so only the star (by ``leq`` on the atom sets) and the downsets of its
+    cells are walked.  The new cell (w, z) covers w and, for each cover w2
+    of w, the cell (w2, face of z on atoms(w2) | atoms(x)).  Preserves the
+    Euler characteristic (checked) and the rank.
     """
     if x == p.root:
         raise PosetError(["cannot subdivide at the least element"])
-    down, atoms = p._lower()
-    star = {z for z in p.cells if x in down[z]}
+    atoms = p._atom_table()
+    star = {z for z in p.cells if p.leq(x, z)}
     surviving = [c for c in p.cells.values() if c.id not in star]
 
     ax = atoms[x]
-    new_cells = [(w, z) for z in star for w in down[z]
+    new_cells = [(w, z) for z in star for w in p.downset(z)
                  if w not in star and atoms[w] | ax == atoms[z]]
     new_cells.sort(key=lambda wz: (p.rank_of(wz[0]), wz))
     ids = {wz: i for i, wz in enumerate(new_cells, max(p.cells) + 1)}

@@ -1,6 +1,7 @@
 """Poset oracles: isomorphism by backtracking, the Gorenstein* test in
 its defining form on the barycentric subdivision, links as posets built
-from ``leq``, the meet as the greatest common lower bound, and stellar
+from ``leq``, downsets walked down the cover lists, the meet as the
+greatest common lower bound from those downsets, and stellar
 subdivision by a join-set scan over every element.  Slow on purpose."""
 
 from torusfan.homology import Verdict, _links
@@ -93,13 +94,29 @@ def link(p, x):
     return SimplicialPoset._trusted(rank, cells)
 
 
+def below(p, x):
+    """The elements y <= x, found depth first down the cover lists."""
+    down, stack = {x}, [x]
+    while stack:
+        for d in p.covers(stack.pop()):
+            if d not in down:
+                down.add(d)
+                stack.append(d)
+    return frozenset(down)
+
+
+def downsets(p):
+    """{x: the elements y <= x} for every x."""
+    return {x: below(p, x) for x in p.cells}
+
+
 def meet(p, x, y):
     """The unique greatest common lower bound, or None if not unique.
 
     Uniqueness is guaranteed whenever ``join_set(x, y)`` is non-empty.
     """
-    down = p._lower()[0]
-    common = down[x] & down[y]
+    common = below(p, x) & below(p, y)
+    down = {w: below(p, w) for w in common}
     maximal = [z for z in common
                if not any(w != z and z in down[w] for w in common)]
     return maximal[0] if len(maximal) == 1 else None

@@ -22,7 +22,7 @@ from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
                             sphere_product_poset)
 from conftest import random_surgery, realized_family
 from quotient_oracle import full_row_quotient, pairwise_presentation
-from test_charfun import _non_pure, cp2_chi, sphere_chi
+from test_charfun import _degrees, _non_pure, cp2_chi, sphere_chi
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_graded_quotient_basis_sizes():
     assert [len(basis[k]) for k in range(3)] == [1, 1, 1]
     for k, elems in basis.items():
         for a in elems:
-            assert a.degrees() in ([], [2 * k])  # homogeneous of degree 2k
+            assert _degrees(a) in ([], [2 * k])  # homogeneous of degree 2k
 
 
 def test_quotient_names_missing_vertices():

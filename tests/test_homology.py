@@ -430,15 +430,15 @@ def test_counted_links_keep_the_refusal_of_a_non_pure_poset():
 
 
 def _rebuilt(p):
-    """p rebuilt, so that it carries none of the lower sets of its
+    """p rebuilt, so that it carries none of the atom sets of its
     construction."""
     p = SimplicialPoset._trusted(p.rank, p.cells.values())
-    assert p._downsets is None
+    assert p._atoms is None
     return p
 
 
 def test_gorenstein_star_builds_no_upsets_up_to_rank_3(disc):
-    # every link is walked up the cofaces: no downset, upset or top set,
+    # every link is walked up the cofaces: no atom set, upset or top set,
     # at any rank now, not only up to 3
     assert not hasattr(SimplicialPoset, "upset")
     target = (1, 2, 2, 2, 2, 1)
@@ -451,16 +451,16 @@ def test_gorenstein_star_builds_no_upsets_up_to_rank_3(disc):
         p = _rebuilt(p)
         gorenstein_star(p)
         link_verdicts(p, (0, 2))
-        assert p._downsets is None, p
+        assert p._atoms is None, p
 
 
 def test_whole_complex_homology_builds_no_upsets():
-    # the least element's link is the whole complex: no lower set is needed
+    # the least element's link is the whole complex: no atom set is needed
     for p, sphere in ((barycentric_subdivision(sphere_poset(3)), 2),
                       (barycentric_subdivision(sphere_poset(4)), 3)):
         p = _rebuilt(p)
         assert reduced_homology(p).is_sphere(sphere)
-        assert p._downsets is None, p
+        assert p._atoms is None, p
 
 
 # ---------------------------------------------------------------------------

@@ -125,38 +125,40 @@ def test_mutated_tables_fail_validation():
         assert poset_violations(p.rank, cells)
 
 
-def test_validated_load_builds_lower_sets_once(monkeypatch):
+def test_validated_load_builds_atom_sets_once(monkeypatch):
     calls = []
-    real = poset_mod._lower_sets
-    monkeypatch.setattr(poset_mod, "_lower_sets",
+    real = poset_mod._atom_sets
+    monkeypatch.setattr(poset_mod, "_atom_sets",
                         lambda cells: calls.append(1) or real(cells))
     p = barycentric_subdivision(sphere_product_poset(1, 2))
     wire = to_json_dict(p)
-    lower = p._lower()
+    atoms = p._atom_table()
     for load in (lambda: from_json_dict(wire),
                  lambda: SimplicialPoset(p.rank, p.cells.values())):
         calls.clear()
         q = load()
         assert len(calls) == 1
-        assert (q._downsets, q._atoms) == lower
+        assert q._atoms == atoms
+        assert q.leq(q.root, max(q.cells)) and q.join_set(q.root, q.root)
         assert len(calls) == 1
     # a trusted poset builds them on first use, once
     calls.clear()
     q = SimplicialPoset._trusted(p.rank, p.cells.values())
     assert to_json_dict(q) == wire and q.h_vector() == p.h_vector()
-    assert not calls
+    assert q.downset(max(q.cells)) == oracle.downsets(q)[max(q.cells)]
+    assert not calls and q._atoms is None
     assert q.leq(q.root, max(q.cells)) and q.atoms(max(q.cells))
-    assert (q._downsets, q._atoms) == lower
+    assert q._atoms == atoms
     assert len(calls) == 1
 
 
 def _walk_oracle(rank, cells):
     """The violations with every lower segment walked: the first pass's,
     else those of the segment walk, whatever the counts decide."""
-    problems, lower = poset_mod._validate(rank, cells)
-    if lower is None:
+    problems, atoms = poset_mod._validate(rank, cells)
+    if atoms is None:
         return problems
-    return poset_mod._segment_violations({c.id: c for c in cells}, *lower)
+    return poset_mod._segment_violations({c.id: c for c in cells}, atoms)
 
 
 def _mutate(rng, p, kind):
@@ -200,14 +202,49 @@ COUNTEREXAMPLE = [Cell(0, 0, ()),
                   Cell(7, 3, (4, 5, 6))]
 
 
+def _covers_of_covers(table, x):
+    return {d for y in table[x].covers for d in table[y].covers}
+
+
 def test_counts_need_distinct_cover_atom_sets():
-    # three atoms and eight elements below the rank-3 cell, yet not boolean
-    downsets, atoms = poset_mod._lower_sets(COUNTEREXAMPLE)
-    assert len(atoms[7]) == 3 and len(downsets[7]) == 8
-    assert not poset_mod._boolean_counts(COUNTEREXAMPLE, downsets, atoms)
+    # three atoms, eight elements and C(3, 2) covers of covers below the
+    # rank-3 cell, yet not boolean
+    table = {c.id: c for c in COUNTEREXAMPLE}
+    atoms = poset_mod._atom_sets(COUNTEREXAMPLE)
+    assert len(atoms[7]) == 3 and len(_covers_of_covers(table, 7)) == 3
+    assert len(oracle.downsets(SimplicialPoset._trusted(3, COUNTEREXAMPLE))[7]) == 8
+    assert not poset_mod._boolean_counts(table, atoms)
     assert poset_violations(3, COUNTEREXAMPLE) == _walk_oracle(
         3, COUNTEREXAMPLE) == ["#7: non-boolean lower segment (two faces "
                                "share a vertex set)"]
+
+
+# a rank-4 cell over the triangles of {a, b, c, d} = {1, 2, 3, 4}, where
+# the triangles abc and abd cover twin edges on {a, b}: every triangle is
+# boolean and the four have distinct vertex sets
+TWIN_EDGE = [Cell(0, 0, ()),
+             Cell(1, 1, (0,)), Cell(2, 1, (0,)), Cell(3, 1, (0,)),
+             Cell(4, 1, (0,)),
+             Cell(5, 2, (1, 2)), Cell(6, 2, (1, 2)), Cell(7, 2, (1, 3)),
+             Cell(8, 2, (1, 4)), Cell(9, 2, (2, 3)), Cell(10, 2, (2, 4)),
+             Cell(11, 2, (3, 4)),
+             Cell(12, 3, (5, 7, 9)), Cell(13, 3, (6, 8, 10)),
+             Cell(14, 3, (7, 8, 11)), Cell(15, 3, (9, 10, 11)),
+             Cell(16, 4, (12, 13, 14, 15))]
+
+
+def test_counts_need_the_covers_of_covers():
+    # four atoms and covers with distinct atom sets, yet seven covers of
+    # covers where C(4, 2) = 6: the twin edges are two faces on {a, b}
+    table = {c.id: c for c in TWIN_EDGE}
+    atoms = poset_mod._atom_sets(TWIN_EDGE)
+    assert len(atoms[16]) == 4
+    assert len({atoms[y] for y in table[16].covers}) == 4
+    assert len(_covers_of_covers(table, 16)) == 7
+    assert not poset_mod._boolean_counts(table, atoms)
+    assert poset_violations(4, TWIN_EDGE) == _walk_oracle(
+        4, TWIN_EDGE) == ["#16: non-boolean lower segment (two faces "
+                          "share a vertex set)"]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -218,9 +255,10 @@ def test_counts_decide_as_the_segment_walk(seed, op, kind):
     p = random_surgery(rng, op)
     cells = _mutate(rng, p, kind)
     assert poset_violations(p.rank, cells) == _walk_oracle(p.rank, cells)
-    problems, lower = poset_mod._validate(p.rank, cells)
-    if lower is not None:
-        assert poset_mod._boolean_counts(cells, *lower) == (not problems)
+    problems, atoms = poset_mod._validate(p.rank, cells)
+    if atoms is not None:
+        assert poset_mod._boolean_counts(
+            {c.id: c for c in cells}, atoms) == (not problems)
 
 
 def test_mutations_reach_both_verdicts_of_the_walk():
@@ -231,8 +269,8 @@ def test_mutations_reach_both_verdicts_of_the_walk():
     for _ in range(200):
         p = random_surgery(rng, rng.choice(["base", "join", "barycentric"]))
         cells = _mutate(rng, p, rng.choice(["retarget", "double"]))
-        problems, lower = poset_mod._validate(p.rank, cells)
-        if lower is not None:
+        problems, atoms = poset_mod._validate(p.rank, cells)
+        if atoms is not None:
             verdicts.add(not problems)
     assert verdicts == {True, False}
 
@@ -297,6 +335,19 @@ def test_face_is_the_element_below_z_on_its_vertices(seed, op):
         if outside:
             with pytest.raises(ValueError):
                 p.face(z, p.atoms(z) | {rng.choice(outside)})
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), SURGERIES)
+def test_leq_and_downset_match_the_cover_walk(seed, op):
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    down = oracle.downsets(p)
+    for x in p.cells:
+        assert p.downset(x) == down[x], x
+    pairs = [(x, y) for x in p.cells for y in p.cells]
+    for x, y in rng.sample(pairs, min(len(pairs), 2000)):
+        assert p.leq(x, y) == (x in down[y]), (x, y)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -563,10 +614,10 @@ def test_connected_sum_needs_a_remaining_top_cell():
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32))
-def test_connected_sum_carries_its_lower_sets(seed):
+def test_connected_sum_carries_its_atom_sets(seed):
     out = random_surgery(random.Random(seed), "connected_sum")
-    assert out._downsets is not None
-    assert out._lower() == poset_mod._lower_sets(out.cells.values())
+    assert out._atoms is not None
+    assert out._atoms == poset_mod._atom_sets(out.cells.values())
 
 
 def _assert_self_sum_matches_a_copy(p, make, rng):
@@ -578,8 +629,8 @@ def _assert_self_sum_matches_a_copy(p, make, rng):
     same = connected_sum(p, t1, p, t2, matching)
     other = connected_sum(p, t1, make(), t2, matching)
     assert to_json_dict(same) == to_json_dict(other)
-    assert (same._lower() == other._lower()
-            == poset_mod._lower_sets(same.cells.values()))
+    assert (same._atom_table() == other._atom_table()
+            == poset_mod._atom_sets(same.cells.values()))
 
 
 def test_connected_sum_of_a_block_with_itself():

@@ -197,7 +197,7 @@ def test_gorenstein_failure_is_not_a_refusal(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the fold: shared blocks, carried lower sets
+# the fold: shared blocks, carried atom sets
 
 
 def _admissible_targets(max_rank, max_entry):
@@ -226,18 +226,18 @@ def test_shared_block_fold_matches_fresh_blocks():
         shared = realize_mod._fold_connected_sums(dec)
         fresh = _fold_fresh_blocks(dec)
         assert to_json_dict(shared) == to_json_dict(fresh), h
-        assert shared._lower() == poset_mod._lower_sets(shared.cells.values())
+        assert shared._atom_table() == poset_mod._atom_sets(shared.cells.values())
         assert (find_characteristic_map(shared, 2)
                 == find_characteristic_map(fresh, 2)), h
 
 
-def test_realize_builds_each_block_and_lower_set_once(monkeypatch):
+def test_realize_builds_each_block_and_atom_set_once(monkeypatch):
     builds, passes = [], []
-    build, lower_sets = Block.build, poset_mod._lower_sets
+    build, atom_sets = Block.build, poset_mod._atom_sets
     monkeypatch.setattr(Block, "build",
                         lambda self: builds.append(self) or build(self))
-    monkeypatch.setattr(poset_mod, "_lower_sets",
-                        lambda cells: passes.append(1) or lower_sets(cells))
+    monkeypatch.setattr(poset_mod, "_atom_sets",
+                        lambda cells: passes.append(1) or atom_sets(cells))
     for h in ([1, 4, 1], [1, 4, 4, 1], [1, 3, 2, 3, 1], [1, 2, 2, 2, 2, 1]):
         distinct = set(decompose(HVectorTarget(h)).blocks)
         builds.clear()
