@@ -15,9 +15,8 @@ from .facering import (FaceRing, RingElement, RingError, chain_monomial,
                        graded_dimension, graded_dimensions, hilbert_check,
                        lsop_from_lambda, parse_element, restriction_at_vertex,
                        straighten_product, total_restriction)
-from .homology import (cohen_macaulay, euler_sphere_check, gorenstein_star,
-                       link_verdicts, pseudomanifold, reduced_homology,
-                       torsion_free_links)
+from .homology import (euler_sphere_check, gorenstein_star, link_verdicts,
+                       pseudomanifold, reduced_homology)
 from .linalg import smith_normal_form
 from .charfun import (CharacteristicMap, GKMError, GKMGraph, build_gkm_graph,
                       check_unimodular, divisibility_check,

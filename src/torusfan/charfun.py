@@ -34,6 +34,7 @@ from math import gcd
 from operator import index, mul
 
 from . import linalg
+from .homology import pseudomanifold, tops_above_ridges
 from .poset import Record, TorusfanError
 from .polys import Poly, monomials_of_degree, restrict_to_hyperplane
 
@@ -342,8 +343,6 @@ def build_gkm_graph(poset, chi):
     sign, the labels at each vertex form a lattice basis, and matched
     labels across an edge are congruent modulo the edge label.
     """
-    from .homology import pseudomanifold, tops_above_ridges
-
     n = poset.rank
     pm = pseudomanifold(poset)
     if not pm.ok:

@@ -16,7 +16,7 @@ import sys
 
 from . import (charfun, cohomology, facering, homology, linalg,
                poset as poset_mod, realize)
-from .poset import PosetError, RankBoundError, TorusfanError
+from .poset import PosetError, TorusfanError
 
 OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
 
@@ -460,8 +460,6 @@ def main(argv=None):
         code, payload = args.handler(args)
     except InputError as err:
         code, payload = BAD_INPUT, {"error": str(err)}
-    except RankBoundError as err:
-        code, payload = CHECK_FAILED, {"ok": False, "violations": [str(err)]}
     except PosetError as err:
         code, payload = CHECK_FAILED, {"ok": False, "violations": err.violations}
     except TorusfanError as err:

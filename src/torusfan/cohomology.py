@@ -47,6 +47,7 @@ added row reduces to zero.
 from __future__ import annotations
 
 from . import linalg
+from .charfun import check_unimodular
 from .facering import (FaceRing, RingElement, lsop_from_lambda, monomial_key,
                        upper_covers, vertex_products)
 from .poset import Record, TorusfanError
@@ -116,8 +117,6 @@ def betti_numbers(poset, chi, char=0):
     Equals the h-vector whenever the face ring is Cohen-Macaulay over the
     chosen field.  ``char`` 0 means the rationals, a prime p means GF(p).
     """
-    from .charfun import check_unimodular
-
     ok, violations = check_unimodular(poset, chi)
     if not ok:
         raise CohomologyError("characteristic map is not unimodular: "

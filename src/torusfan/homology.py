@@ -11,9 +11,13 @@ boundary of a cell is the signed sum of its covered cells, the sign of a
 cover being determined by the position of the omitted vertex in the
 sorted vertex list of the cell; lower segments are boolean, so the
 omitted vertex is well defined and the usual simplicial sign identity
-gives boundary-of-boundary zero.  ``_signed_boundary`` builds this map
-once per poset, with its inversion (the cofaces of each element) in the
-same loop, and checks d^2 = 0 on it once.
+gives boundary-of-boundary zero.  So the sign is a position and is not
+stored: ``_signed_boundary`` lists the covers of each cell in the order
+of their omitted vertices, the i-th taking (-1)^i, and builds the
+inversion (the cofaces of each element) in the same pass.  The pass
+takes the elements by (rank, id), so the covers of a cell are listed
+before it, and it checks d^2 = 0 on each cell as it lists it.  Each
+homology call (``reduced_homology`` and the link pass) builds its own.
 
 The positions come from vertex-id sums, with no vertex sets: vsum of a
 vertex is its id, vsum of the least element is 0, and vsum(x) for x of
@@ -35,10 +39,11 @@ homology, is the boundary restricted to the other cells; no entry
 changes.  A pair found leaves its cofaces with one face fewer, and those
 left with one become the next candidates.  Smith normal form
 (``linalg._snf``) then runs only on the restricted boundaries of the
-cells that remain, one call per dimension that still has a nonzero row;
-on the spheres of the realization pipeline nothing is left for it.  The
-starting face counts need no pass: every [x, y] is boolean, so in the
-link of x the element y covers exactly rank(y) - rank(x) cells.
+cells that remain, their signs read off the positions, one call per
+dimension that still has a nonzero row; on the spheres of the
+realization pipeline nothing is left for it.  The starting face counts
+need no pass: every [x, y] is boolean, so in the link of x the element
+y covers exactly rank(y) - rank(x) cells.
 
 Links are restrictions of that one map; no link poset and no dense
 matrix is built.  The reduced chain complex of link(x) is the signed
@@ -90,21 +95,15 @@ class HomologyError(TorusfanError):
     pass
 
 
-class _Boundary(dict):
-    """The signed boundary {x: {y: sign}}, with ``cofaces`` {y: [the
-    elements that cover y]}, its inversion."""
-
-    __slots__ = ("cofaces",)
-
-
 def _signed_boundary(poset):
-    """{x: {y: sign}} over the elements x and the elements y that x covers
-    (the least element maps to {}), d^2 = 0 checked once; its ``cofaces``
-    are built in the same loop.  The signs follow the vertex-id sums of
-    the module docstring."""
+    """(order, cofaces): ``order[x]`` is the tuple of the elements that x
+    covers in boundary order, the i-th taking the sign (-1)^i (() for the
+    least element), and ``cofaces[y]`` lists the elements that cover y.
+    The order follows the vertex-id sums of the module docstring; each
+    cell's d^2 = 0 is checked as it is built."""
     cells = poset.cells
-    boundary = _Boundary()
-    cofaces = boundary.cofaces = {x: [] for x in cells}
+    order = {}
+    cofaces = {x: [] for x in cells}
     vsum = {}
     for x in poset.elements():  # by rank, so every cover comes first
         c = cells[x]
@@ -112,26 +111,21 @@ def _signed_boundary(poset):
         k = c.rank
         vsum[x] = (sum(map(vsum.__getitem__, covers)) // (k - 1) if k > 1
                    else x if k else 0)
-        col = boundary[x] = {}
-        sign = 1
         # the omitted vertices vsum(x) - vsum(y) in ascending order
-        for y in sorted(covers, key=vsum.__getitem__, reverse=True):
-            col[y] = sign
-            sign = -sign
-            cofaces[y].append(x)
-    _check_square_zero(boundary)
-    return boundary
-
-
-def _check_square_zero(boundary):
-    """Raise unless the boundary of the boundary of every cell is zero."""
-    for col in boundary.values():
+        faces = order[x] = tuple(sorted(covers, key=vsum.__getitem__,
+                                        reverse=True))
         image = {}
-        for y, a in col.items():
-            for w, b in boundary[y].items():
-                image[w] = image.get(w, 0) + a * b
+        sign = 1
+        for y in faces:
+            cofaces[y].append(x)
+            term = sign
+            for w in order[y]:
+                image[w] = image.get(w, 0) + term
+                term = -term
+            sign = -sign
         if any(image.values()):
             raise HomologyError("boundary of boundary is nonzero")
+    return order, cofaces
 
 
 class HomologyGroups(Record):
@@ -188,17 +182,16 @@ def reduced_homology(poset, char=None):
     """
     if char is not None:  # refused before the Smith normal form work
         linalg.check_char(char)
-    integral = _link_homology(poset, _signed_boundary(poset), poset.root,
+    integral = _link_homology(poset, *_signed_boundary(poset), poset.root,
                               poset.rank)
     return integral if char is None else integral.over(char)
 
 
-def _link_homology(poset, boundary, x, n):
+def _link_homology(poset, order, cofaces, x, n):
     """Integral reduced homology of the rank-n link of x: the signed
     boundary restricted to the elements above x, y of rank r being a cell
     of dimension r - rank_of(x) - 1 and x the empty cell, reduced by
     coreductions; Smith normal form runs only on what is left."""
-    cofaces = boundary.cofaces
     vertices = cofaces[x]
     if not vertices:  # no vertex: the link is the empty complex
         return HomologyGroups(n, {-1: (1, ())})
@@ -229,7 +222,7 @@ def _link_homology(poset, boundary, x, n):
         b = todo.pop()
         if get(b) != 1:
             continue
-        for a in boundary[b]:
+        for a in order[b]:
             if a in live:
                 break
         # b's one face a: dd b = 0 leaves a no face, so deleting the pair
@@ -248,8 +241,13 @@ def _link_homology(poset, boundary, x, n):
         e = cells[y].rank - shift
         left[e] += 1
         if k:
-            rows[e].append({z: s for z, s in boundary[y].items()
-                            if z in live})
+            row = {}
+            sign = 1
+            for z in order[y]:
+                if z in live:
+                    row[z] = sign
+                sign = -sign
+            rows[e].append(row)
     ranks = [0] * (n + 2)
     torsions = [()] * (n + 2)
     for e, level in enumerate(rows):
@@ -296,21 +294,20 @@ def _links(poset):
     problems = _rank_violations(rank)  # the largest link's
     if problems:
         raise PosetError(problems)
-    boundary = _signed_boundary(poset)
-    cofaces = boundary.cofaces
+    order, cofaces = _signed_boundary(poset)
     cells = poset.cells
-    order = poset.elements()
+    elements = poset.elements()
     height = {}  # the largest rank above x
-    for x in reversed(order):  # the cofaces of x come first
+    for x in reversed(elements):  # the cofaces of x come first
         height[x] = max(map(height.__getitem__, cofaces[x]),
                         default=cells[x].rank)
-    for x in order:
+    for x in elements:
         shift = cells[x].rank
         if height[x] < rank:
             raise PosetError([f"link of {cells[x].named()}: declared rank "
                               f"{rank - shift} but maximal element rank is "
                               f"{height[x] - shift}"])
-        yield x, rank - shift - 1, _link_homology(poset, boundary, x,
+        yield x, rank - shift - 1, _link_homology(poset, order, cofaces, x,
                                                   rank - shift)
 
 
@@ -354,19 +351,6 @@ def link_verdicts(poset, chars=(0, 2, 3, 5)):
     fields = {char: Verdict(not found, found)
               for char, found in witnesses.items()}
     return fields, Verdict(not torsion, torsion)
-
-
-def cohen_macaulay(poset, chars=(0, 2, 3, 5)):
-    """Reisner test per coefficient field (see ``link_verdicts``)."""
-    return link_verdicts(poset, chars)[0]
-
-
-def torsion_free_links(poset):
-    """Report whether every link has torsion-free integral homology.
-
-    Together with the field verdicts this is the desk-scale stand-in for
-    Cohen-Macaulayness over the integers."""
-    return link_verdicts(poset, ())[1]
 
 
 def gorenstein_star(poset):

@@ -28,10 +28,18 @@ class ChainComplex:
         return tuple(len(c) for c in self.cells)
 
 
+def position_signs(poset):
+    """{x: {y: sign}} over the elements y that x covers, read off the
+    positions of the signed boundary: the i-th cover takes (-1)^i."""
+    order, _ = _signed_boundary(poset)
+    return {x: {y: (-1) ** i for i, y in enumerate(faces)}
+            for x, faces in order.items()}
+
+
 def cell_chain_complex(poset):
     """The reduced chain complex of the poset's simplicial cell complex,
     as dense matrices of the signed boundary (d^2 = 0 checked there)."""
-    boundary = _signed_boundary(poset)
+    boundary = position_signs(poset)
     n = poset.rank
     cells = [tuple(poset.by_rank(d + 1)) for d in range(n)]
     boundaries = []

@@ -86,6 +86,17 @@ def test_subdivide_barycentric(capsys, sphere2_file):
     assert sd.f_vector() == (4, 4)
 
 
+def test_subdivide_barycentric_refused_above_the_bound(capsys, tmp_path):
+    path = tmp_path / "d7.json"
+    path.write_text(json.dumps(to_json_dict(simplex_boundary(7))))
+    code = cli.main(["poset-subdivide", "barycentric", str(path)])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        '{\n  "config": {\n    "seed": 0\n  },\n  "ok": false,\n'
+        '  "violations": [\n    "barycentric subdivision refused at rank 7 '
+        '(> 6); pass force=True to override"\n  ]\n}\n')
+
+
 def test_subdivide_stellar_needs_cell(capsys, sphere2_file):
     code, report = run(capsys, "poset-subdivide", "stellar", sphere2_file)
     assert code == 2
@@ -335,9 +346,9 @@ def test_cm_check_takes_each_link_once(capsys, monkeypatch, tmp_path):
     calls = []
     link_homology = homology._link_homology
 
-    def counted(poset, boundary, x, n):
+    def counted(poset, order, cofaces, x, n):
         calls.append(x)
-        return link_homology(poset, boundary, x, n)
+        return link_homology(poset, order, cofaces, x, n)
 
     monkeypatch.setattr(homology, "_link_homology", counted)
     code, report = run(capsys, "cm-check", str(path), "--fields", "2,3")

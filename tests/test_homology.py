@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from torusfan import homology, linalg, poset as poset_mod
 from torusfan.homology import (HomologyError, HomologyGroups,
-                               _check_square_zero, _signed_boundary,
-                               cohen_macaulay, euler_sphere_check,
+                               _signed_boundary, euler_sphere_check,
                                gorenstein_star, link_verdicts, pseudomanifold,
-                               reduced_homology, torsion_free_links)
+                               reduced_homology)
 from torusfan.linalg import smith_normal_form
 from torusfan.poset import (Cell, PosetError, SimplicialPoset,
                             barycentric_subdivision, join, simplex_boundary,
@@ -22,7 +21,8 @@ from torusfan.cohomology import dehn_sommerville_check
 from conftest import builder_family, random_surgery, realized_family
 import poset_oracle as oracle
 from poset_oracle import gorenstein_star_subdivided
-from dense_linalg import _rank_mod_p, _rank_rational, cell_chain_complex
+from dense_linalg import (_rank_mod_p, _rank_rational, cell_chain_complex,
+                          position_signs)
 from dense_linalg import smith_normal_form as dense_smith_normal_form
 
 
@@ -114,33 +114,27 @@ def test_boundary_squares_to_zero():
         cell_chain_complex(p)  # raises on a nonzero square
 
 
-def test_square_zero_check_fires_on_a_flipped_sign():
-    p = simplex_boundary(3)
-    boundary = _signed_boundary(p)
-    _check_square_zero(boundary)
-    for k in range(1, p.rank + 1):
-        col = boundary[p.by_rank(k)[0]]
-        y, v = next(iter(col.items()))
-        col[y] = -v
-        with pytest.raises(HomologyError, match="boundary of boundary"):
-            _check_square_zero(boundary)
-        col[y] = v
+def _twin_edge_cell():
+    """The rank-3 table of the ``poset`` docstring, trusted past the
+    validation that refuses it: one cell over the edges {a, b}, {a, b}'
+    and {b, c}, whose boundary has a nonzero boundary."""
+    a, b, c = 1, 2, 3
+    return SimplicialPoset._trusted(3, [
+        Cell(0, 0, ()), Cell(a, 1, (0,)), Cell(b, 1, (0,)), Cell(c, 1, (0,)),
+        Cell(4, 2, (a, b)), Cell(5, 2, (a, b)), Cell(6, 2, (b, c)),
+        Cell(7, 3, (4, 5, 6))])
 
 
-def test_flipped_sign_fails_gorenstein_star(monkeypatch):
-    # the verdicts read the one checked signed boundary: a sign flipped in
-    # the check's input is refused before any link is taken
-    check = homology._check_square_zero
-
-    def flipped(boundary):
-        col = boundary[max(boundary)]
-        y = next(iter(col))
-        col[y] = -col[y]
-        check(boundary)
-
-    monkeypatch.setattr(homology, "_check_square_zero", flipped)
+def test_signed_boundary_refuses_a_nonzero_square():
     with pytest.raises(HomologyError, match="boundary of boundary"):
-        gorenstein_star(sphere_poset(3))
+        _signed_boundary(_twin_edge_cell())
+
+
+def test_gorenstein_star_refuses_a_nonzero_square():
+    # the verdicts read the checked signed boundary: the table is refused
+    # before any link is taken
+    with pytest.raises(HomologyError, match="boundary of boundary"):
+        gorenstein_star(_twin_edge_cell())
 
 
 def test_circle_homologies(s4_poset):
@@ -279,35 +273,35 @@ def test_projective_plane_torsion():
 
 
 def test_triangle_is_cm_over_q():
-    verdicts = cohen_macaulay(simplex_boundary(2), chars=(0,))
+    verdicts = link_verdicts(simplex_boundary(2), (0,))[0]
     assert verdicts[0].ok
 
 
 def test_disconnected_pure_complex_is_not_cm():
-    verdicts = cohen_macaulay(_two_disjoint_edges(), chars=(0,))
+    verdicts = link_verdicts(_two_disjoint_edges(), (0,))[0]
     assert not verdicts[0].ok
     assert any("dimension 0" in w for w in verdicts[0].witnesses)
 
 
 def test_spheres_are_cm():
     for n in range(2, 5):
-        verdicts = cohen_macaulay(sphere_poset(n), chars=(0, 2))
+        verdicts = link_verdicts(sphere_poset(n), (0, 2))[0]
         assert verdicts[0].ok and verdicts[2].ok, n
 
 
 def test_projective_plane_cm_depends_on_field():
     p = projective_plane()
-    verdicts = cohen_macaulay(p, chars=(0, 2, 3))
+    verdicts, torsion = link_verdicts(p, (0, 2, 3))
     assert verdicts[0].ok and verdicts[3].ok
     assert not verdicts[2].ok  # the 2-torsion in degree one blocks GF(2)
-    assert not torsion_free_links(p).ok
+    assert not torsion.ok
 
 
 def test_cm_fields_in_one_pass_match_each_field_alone():
     for p in _field_cases():
-        together = cohen_macaulay(p, (0, 2, 3, 5))
+        together = link_verdicts(p, (0, 2, 3, 5))[0]
         for char in (0, 2, 3, 5):
-            assert together[char] == cohen_macaulay(p, (char,))[char], char
+            assert together[char] == link_verdicts(p, (char,))[0][char], char
 
 
 def test_cm_takes_each_link_once(monkeypatch):
@@ -315,12 +309,12 @@ def test_cm_takes_each_link_once(monkeypatch):
     calls = []
     link_homology = homology._link_homology
 
-    def counted(poset, boundary, x, n):
+    def counted(poset, order, cofaces, x, n):
         calls.append(x)
-        return link_homology(poset, boundary, x, n)
+        return link_homology(poset, order, cofaces, x, n)
 
     monkeypatch.setattr(homology, "_link_homology", counted)
-    cohen_macaulay(p, (0, 2, 3, 5))
+    link_verdicts(p, (0, 2, 3, 5))
     assert sorted(calls) == sorted(p.elements())
 
 
@@ -494,7 +488,7 @@ def _relabelled(p, rng):
 @pytest.mark.parametrize("name", sorted(builder_family(4)))
 def test_vertex_sum_signs_are_the_atom_position_signs(name):
     p = builder_family(4)[name]
-    assert _signed_boundary(p) == _atom_position_signs(p)
+    assert position_signs(p) == _atom_position_signs(p)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -504,7 +498,7 @@ def test_vertex_sum_signs_are_the_atom_position_signs(name):
 def test_vertex_sum_signs_under_negative_scrambled_ids(seed, op):
     rng = random.Random(seed)
     p = _relabelled(random_surgery(rng, op), rng)
-    assert _signed_boundary(p) == _atom_position_signs(p)
+    assert position_signs(p) == _atom_position_signs(p)
     assert reduced_homology(p) == _dense_homology(p)
 
 
@@ -590,12 +584,12 @@ def _coboundary(p, x, y):
                         "barycentric"]))
 def test_restricted_signs_are_the_link_signs_up_to_a_coboundary(seed, op):
     p = random_surgery(random.Random(seed), op)
-    boundary = _signed_boundary(p)
+    boundary = position_signs(p)
     for x in p.elements():
         up = oracle.upset(p, x)
         if up.isdisjoint(p.tops()):
             continue
-        own = _signed_boundary(oracle.link(p, x))
+        own = position_signs(oracle.link(p, x))
         for y in up - {x}:
             for z in own[y]:
                 assert boundary[y][z] == (own[y][z] * _coboundary(p, x, y)
@@ -640,13 +634,13 @@ def test_link_verdicts_name_every_failing_link():
         "link of R1 has torsion [2] in dimension 1",
         "link of R2 has torsion [2] in dimension 1"]
     assert fields[0].ok and len(fields[2].witnesses) == 3
-    assert fields == cohen_macaulay(p, (0, 2))
-    assert torsion == torsion_free_links(p)
+    # the torsion verdict does not depend on the fields asked for
+    assert torsion == link_verdicts(p, ())[1]
 
 
 def test_torsion_free_links_on_family():
     for name, p in builder_family(3).items():
-        assert torsion_free_links(p).ok, name
+        assert link_verdicts(p, ())[1].ok, name
 
 
 # ---------------------------------------------------------------------------

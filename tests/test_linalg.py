@@ -346,7 +346,7 @@ def test_non_prime_characteristic_refused_everywhere(char):
              lambda: homology.reduced_homology(p, char),
              lambda: homology.reduced_homology(p).over(char),
              lambda: homology.link_verdicts(p, (0, char)),
-             lambda: homology.cohen_macaulay(p, (char,)))
+             lambda: homology.link_verdicts(p, (char,)))
     for call in calls:
         with pytest.raises(ValueError, match="neither 0 nor prime"):
             call()
