@@ -439,7 +439,18 @@ def divisibility_check(graph, eta):
 
 def gkm_subalgebra_dimension(graph, k):
     """Dimension over Q of the degree-k tuples satisfying every edge
-    divisibility condition."""
+    divisibility condition.
+
+    Every label alpha is first written in the basis of the vertex vectors
+    of the first top cell p0, as (<alpha, chi(v)> for v in sorted
+    atoms(p0)).  The labels at p0 are the dual basis of those vectors, so
+    they become unit vectors.  On most realized posets every label becomes
+    a unit vector up to sign, where as built the labels of realized
+    (1,0,2,2,0,1) have entries up to 22.  The change of coordinates is
+    invertible (``build_gkm_graph`` has checked that the vectors at p0
+    form a lattice basis), and the substitution it induces on polynomials
+    takes the multiples of the linear form alpha onto those of its image,
+    degree by degree, so the dimension does not change."""
     if k < 0:
         return 0
     n = graph.n
@@ -447,9 +458,12 @@ def gkm_subalgebra_dimension(graph, k):
     offset = {x: i * len(monos) for i, x in enumerate(graph.vertices)}
     span = linalg.Span(0)
     conditions = {}  # label -> [[(i, c), ...] per target monomial]
+    basis = [graph.chi.vec(v)
+             for v in sorted(graph.poset.atoms(graph.vertices[0]))]
     for e in graph.edges:
         p, q = (offset[x] for x in e.ends)
-        alpha = e.labels[0]
+        alpha = tuple(sum(a * b for a, b in zip(e.labels[0], u))
+                      for u in basis)
         rows = conditions.get(alpha)
         if rows is None:
             restricted = [restrict_to_hyperplane(Poly(n, {m: 1}), alpha)

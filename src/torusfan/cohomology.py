@@ -31,6 +31,19 @@ the one upper cover of y below x_q and above v, which is x_q.  When
 y = x_0, x_q is the vertex v and m' = v^(a_q - 1), which v joins at its
 bottom (v * 1 = v when a_q = 1).
 
+The linear forms theta_j = sum_v chi(v)_j v are first brought to reduced
+echelon form over the field, as sparse rows over the vertex columns
+(``linalg.reduced_echelon``): each pivot vertex is cleared from every
+other form, and over Q the forms stay integral.  A characteristic map
+is dense (realized ones carry entries like -2 at almost every
+coordinate), so every theta would carry every vertex; the reduced forms
+carry a pivot vertex and only the vertices that no pivot clears.  They
+span the same space of linear forms, so they generate the same ideal,
+and in each degree 2k the rows f * m, over the forms f and the
+monomials m of degree 2k - 2, have the same span as the rows
+theta_j * m.  A map whose vectors have rank r < n over the field gives
+r forms.  From here on, theta_j means the j-th reduced form.
+
 Rows are added theta by theta, and a row theta_j * m is left out when m
 became a pivot column one degree down while the rows of theta_1 ..
 theta_{j-1} were added (Faugere's F5 criterion, ISSAC 2002).  The span
@@ -38,10 +51,12 @@ does not change.  Such an m leads an element g = m + (later columns) of
 the ideal of theta_1 .. theta_{j-1} one degree down, so theta_j * m is
 theta_j * g, which lies in that ideal, minus theta_j times later columns.
 By induction on j and then down the columns, both parts lie in the span
-of the rows that are added.  Pivot columns, ranks and residues over GF(p)
-depend on the span alone, so every reader sees the same quotient.  When
-the thetas form a regular sequence (the face ring is Cohen-Macaulay), no
-added row reduces to zero.
+of the rows that are added.  The argument uses only that the thetas
+generate the ideal, so it holds for the reduced forms as for any
+generating sequence.  Pivot columns, ranks and residues over GF(p)
+depend on the span alone, so every reader sees the same quotient, with
+the reduced forms or without.  When the thetas form a regular sequence
+(the face ring is Cohen-Macaulay), no added row reduces to zero.
 """
 
 from __future__ import annotations
@@ -71,13 +86,21 @@ def _quotient(poset, chi, char, kmax):
     """For each degree 2k, k <= kmax: {chain monomial: position} over the
     chain-monomial basis, which is the set of terms of the vertex products
     one degree down (module docstring), in the canonical order; the Span
-    over GF(char), or Q for char 0, of the rows theta_j * m for every j
-    and every monomial m of degree 2k - 2, less the rows that the row
-    criterion shows redundant; and the products behind those rows: per
-    monomial m, one (column of v * m, chi(v), v) triple per term of each
-    vertex product.  A negative kmax raises ValueError."""
+    over GF(char), or Q for char 0, of the rows theta_j * m for every
+    reduced form theta_j and every monomial m of degree 2k - 2, less the
+    rows that the row criterion shows redundant; and the products behind
+    those rows: per monomial m, one (column of v * m, vector of v, v)
+    triple per term of each vertex product, where the vector of v holds
+    v's coefficient in each reduced form.  The reduced forms span what
+    the thetas of chi span over the field (module docstring), so the
+    Span is the same as with the thetas.  A negative kmax raises
+    ValueError."""
     linalg.check_nonnegative(kmax)
-    vectors = {v: chi.vec(v) for v in _covered_vertices(poset, chi)}
+    vertices = _covered_vertices(poset, chi)
+    forms = linalg.reduced_echelon(
+        [{v: c for v in vertices if (c := chi.vec(v)[j])}
+         for j in range(chi.n)], char).values()
+    vectors = {v: tuple(form.get(v, 0) for form in forms) for v in vertices}
     upper = upper_covers(poset)
     index, products = {(): 0}, []
     out = []
@@ -92,7 +115,7 @@ def _quotient(poset, chi, char, kmax):
                         for terms in found]
         span = linalg.Span(char)
         pivots = {}
-        for j in range(chi.n):
+        for j in range(len(forms)):
             for i, terms in enumerate(products):
                 if since.get(i, j) >= j:
                     span.add({c: vec[j] for c, vec, _ in terms if vec[j]})

@@ -8,8 +8,10 @@ allowed, None stands for them and is not passed to it).  Rows are sparse
 {column: value} dicts throughout.  A ``Span`` inserts them one at a time
 into an echelon form keyed by leading column, over GF(p) with every row
 scaled to leading coefficient 1 (so clearing a column needs no inverse),
-or fraction-free over the integers; ``rank`` and ``invert_unimodular`` are
-built on it.  Smith normal form is one sparse kernel, ``_snf``: least-entry
+or fraction-free over the integers.  ``rank`` is built on it, and so is
+``reduced_echelon``, which clears each pivot column from the other rows;
+``invert_unimodular`` and the linear forms of the graded quotient use
+that.  Smith normal form is one sparse kernel, ``_snf``: least-entry
 pivots with row and column steps down to remainders, and gcd/lcm on the
 diagonal (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004;
 Dumas-Saunders-Villard, JSC 2001).  The homology code calls it on what its
@@ -324,20 +326,46 @@ def rank(mat, char=0):
     return span.rank
 
 
+def reduced_echelon(rows, char=0):
+    """The span of sparse integer rows over GF(char), or Q for char 0, in
+    reduced echelon form: {pivot column: row}, ascending, where the pivot
+    is the row's least column and no other row has an entry there.
+
+    Over GF(char) a pivot row is 1 at its pivot plus the canonical residue
+    of the rest, which has no pivot column.  Over Q the rows stay integral:
+    going down from the last pivot, each row is cleared with ``_clear`` at
+    the pivots above its own, in ascending order.  A row with pivot d holds
+    no other pivot column once reduced, so clearing with it adds none.
+
+    >>> reduced_echelon([{0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}], 5)
+    {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}
+    >>> reduced_echelon([{0: 2, 1: 1}, {1: 2, 2: 1}])
+    {0: {0: 4, 2: -1}, 1: {1: 2, 2: 1}}
+    """
+    span = Span(char)
+    for r in rows:
+        span.add(r)
+    pivots = sorted(span.rows)
+    if span.char:
+        return {c: {c: 1, **span.reduce(
+                    {k: v for k, v in span.rows[c].items() if k != c})}
+                for c in pivots}
+    out = {}
+    for c in reversed(pivots):
+        r = span.rows[c]
+        for d in sorted(r.keys() & out.keys()):
+            r = _clear(r, out[d], d)
+        out[c] = r
+    return {c: out[c] for c in pivots}
+
+
 def invert_unimodular(mat):
     """Inverse of a square integer matrix with determinant +-1."""
     n = len(mat)
-    span = Span(0)
-    for i, r in enumerate(_sparse(mat)):
-        span.add({**r, n + i: 1})
-    pivots = span.rows
+    pivots = reduced_echelon(
+        [{**r, n + i: 1} for i, r in enumerate(_sparse(mat))])
     if any(c not in pivots for c in range(n)):
         raise ValueError("matrix is singular")
-    # clear upward, so that row c keeps column c alone among the first n
-    for c in reversed(range(n)):
-        for i in range(c):
-            if c in pivots[i]:
-                pivots[i] = _clear(pivots[i], pivots[c], c)
     out = []
     for c in range(n):
         r = pivots[c]

@@ -563,6 +563,13 @@ def test_gkm_dimension_equals_face_ring_dimension():
             assert gkm_subalgebra_dimension(g, k) == graded_dimension(p, k)
 
 
+def test_gkm_dimension_at_degree_5_on_a_rank_5_realization():
+    result = realize_with_lambda([1, 0, 2, 2, 0, 1])
+    g = build_gkm_graph(result.poset, result.chi)
+    assert gkm_subalgebra_dimension(g, 5) == 227
+    assert graded_dimension(result.poset, 5) == 227
+
+
 def test_gkm_dimension_restricts_once_per_edge_label(monkeypatch):
     from torusfan import charfun, polys
     restrict = polys.restrict_to_hyperplane

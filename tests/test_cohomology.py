@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusfan import cohomology, facering, linalg
-from torusfan.charfun import (CharacteristicMap, check_unimodular,
-                              find_characteristic_map)
+from torusfan.charfun import (CharacteristicMap, GKMError,
+                              build_gkm_graph, check_unimodular,
+                              find_characteristic_map,
+                              gkm_subalgebra_dimension)
 from torusfan.cohomology import (CohomologyError, betti_numbers,
                                  dehn_sommerville_check,
                                  graded_quotient_basis,
@@ -23,6 +25,7 @@ from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
 from conftest import random_surgery, realized_family
 from quotient_oracle import full_row_quotient, pairwise_presentation
 from test_charfun import _degrees, _non_pure, cp2_chi, sphere_chi
+from test_linalg import _unimodular
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +57,13 @@ def test_betti_equals_h_over_all_fields():
         assert all(link_verdicts(p, (0, 2, 3, 5))[0].values())
         for char in (0, 2, 3, 5):
             assert betti_numbers(p, chi, char) == h, (p, char)
+
+
+def test_betti_over_q_at_rank_7():
+    # 255 cells; once reduced, six of the seven forms are a single vertex
+    p, chi = realized_family([(1,) * 8])[(1,) * 8]
+    assert len(p) == 255
+    assert betti_numbers(p, chi) == p.h_vector()
 
 
 def test_betti_requires_unimodular(s4_poset):
@@ -213,6 +223,91 @@ def test_row_criterion_adds_no_zero_row_and_no_straightening(monkeypatch):
             assert [len(basis[k]) for k in sorted(basis)] == list(p.h_vector())
         report = sw_parity(p, chi)
         assert report.applicable and report.consistent
+
+
+def _forms(p, chi, char):
+    """The reduced linear forms of the quotient, one vector per vertex:
+    the products of the degree-0 monomial are one term per vertex."""
+    (terms,) = cohomology._quotient(p, chi, char, 1)[1][2]
+    return {v: vec for _, vec, v in terms}
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_reduced_forms_have_unit_vectors_at_their_pivot_vertices(char):
+    for p, chi in realized_family().values():
+        vectors = _forms(p, chi, char)
+        assert all(len(vec) == chi.n for vec in vectors.values())
+        for j in range(chi.n):
+            pivot = min(v for v, vec in vectors.items() if vec[j])
+            lead = vectors[pivot][j]
+            unit = [lead if i == j else 0 for i in range(chi.n)]
+            assert list(vectors[pivot]) == unit, (p, char, j)
+            assert lead == 1 if char else lead
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_forms_that_are_dependent_mod_2_are_fewer_there(char):
+    # every last coordinate is even, so mod 2 the vectors span a proper
+    # subspace and the last form vanishes
+    rng = random.Random(23)
+    posets = [p for p, _ in realized_family().values()]
+    posets += [simplex_boundary(3), sphere_product_poset(1, 2)]
+    for p in posets:
+        vectors = {}
+        for v in p.vertices():
+            vec = (0,) * p.rank
+            while gcd(*vec) != 1:
+                vec = tuple(rng.randint(-3, 3) for _ in range(p.rank - 1)
+                            ) + (2 * rng.randint(-2, 2),)
+            vectors[v] = vec
+        chi = CharacteristicMap(p.rank, vectors)
+        forms = len(next(iter(_forms(p, chi, char).values())))
+        assert forms == linalg.rank(list(vectors.values()), char)
+        assert forms < p.rank or char != 2
+        _assert_same_quotient(p, chi, char, p.rank + 1)
+
+
+# ---------------------------------------------------------------------------
+# a change of lattice basis changes no answer
+
+
+def _assert_invariant_under(p, chi, a):
+    moved = CharacteristicMap(chi.n, {
+        v: tuple(sum(x * y for x, y in zip(row, vec)) for row in a)
+        for v, vec in chi.vectors.items()})
+    assert quotient_dimensions(p, moved) == quotient_dimensions(p, chi)
+    for char in (0, 2, 3):
+        got, want = (graded_quotient_basis(p, c, char) for c in (moved, chi))
+        assert ({k: [e.terms for e in b] for k, b in got.items()}
+                == {k: [e.terms for e in b] for k, b in want.items()}), char
+    try:
+        graph = build_gkm_graph(p, chi)
+    except GKMError:
+        with pytest.raises(GKMError):
+            build_gkm_graph(p, moved)
+        return
+    moved_graph = build_gkm_graph(p, moved)
+    for k in range(4):
+        assert (gkm_subalgebra_dimension(moved_graph, k)
+                == gkm_subalgebra_dimension(graph, k)), k
+
+
+def test_realized_answers_do_not_depend_on_the_lattice_basis():
+    rng = random.Random(31)
+    for p, chi in realized_family().values():
+        for _ in range(2):
+            _assert_invariant_under(p, chi, _unimodular(rng, chi.n))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["join", "connected_sum", "stellar", "barycentric"]))
+def test_surgery_answers_do_not_depend_on_the_lattice_basis(seed, op):
+    rng = random.Random(seed)
+    p = random_surgery(rng, op)
+    chi = find_characteristic_map(p, 1)
+    if chi is not None:
+        _assert_invariant_under(p, chi, _unimodular(rng, chi.n))
 
 
 # ---------------------------------------------------------------------------

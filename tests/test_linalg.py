@@ -171,6 +171,26 @@ def test_span_over_gf_p_matches_dense_oracle_with_non_monic_rows(seed):
     assert leads >= {2, 3, 4, 5, 6}
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reduced_echelon_has_each_pivot_in_its_own_row_alone(seed):
+    for mat in random_matrices(seed):
+        for p in (0,) + PRIMES:
+            rows = [dict(enumerate(row)) for row in mat]
+            reduced = linalg.reduced_echelon(rows, p)
+            span = _span(mat, p)
+            assert list(reduced) == sorted(span.rows), (p, mat)
+            for c, row in reduced.items():
+                assert min(row) == c and all(row.values()), (p, mat)
+                assert not any(c in other for d, other in reduced.items()
+                               if d != c), (p, mat)
+                if p:
+                    assert row[c] == 1, (p, mat)
+                    assert all(0 < v < p for v in row.values()), (p, mat)
+                # every reduced row lies in the span; with equal ranks the
+                # row spaces are equal
+                assert not span.add(row), (p, mat)
+
+
 def test_span_reduce_refused_over_q():
     span = linalg.Span(0)
     assert span.add({1: 2, 2: 1})
