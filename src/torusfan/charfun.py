@@ -36,7 +36,8 @@ from operator import index, mul
 from . import linalg
 from .homology import pseudomanifold, tops_above_ridges
 from .poset import Record, TorusfanError
-from .polys import Poly, monomials_of_degree, restrict_to_hyperplane
+from .polys import (Poly, monomials_of_degree, restrict_monomials,
+                    restrict_to_hyperplane)
 
 
 class GKMError(TorusfanError):
@@ -450,7 +451,13 @@ def gkm_subalgebra_dimension(graph, k):
     invertible (``build_gkm_graph`` has checked that the vectors at p0
     form a lattice basis), and the substitution it induces on polynomials
     takes the multiples of the linear form alpha onto those of its image,
-    degree by degree, so the dimension does not change."""
+    degree by degree, so the dimension does not change.
+
+    The conditions of one label are read off one ``restrict_monomials``
+    call on all degree-k monomials: a tuple difference with coefficients
+    a_m is divisible by alpha exactly when, for every target monomial t,
+    the sum of a_m times the coefficient of t in the image of m is zero.
+    Edges that share a label share these rows."""
     if k < 0:
         return 0
     n = graph.n
@@ -466,13 +473,11 @@ def gkm_subalgebra_dimension(graph, k):
                       for u in basis)
         rows = conditions.get(alpha)
         if rows is None:
-            restricted = [restrict_to_hyperplane(Poly(n, {m: 1}), alpha)
-                          for m in monos]
-            targets = sorted({t for r in restricted for t in r.coeffs})
-            rows = conditions[alpha] = [
-                [(i, c) for i, r in enumerate(restricted)
-                 if (c := r.coeffs.get(t, 0))]
-                for t in targets]
+            by_target = {}
+            for i, t, c in restrict_monomials(n, monos, alpha):
+                by_target.setdefault(t, []).append((i, c))
+            rows = conditions[alpha] = [by_target[t]
+                                        for t in sorted(by_target)]
         for row in rows:
             out = {}
             for i, c in row:

@@ -3,9 +3,21 @@
 Just enough arithmetic for vertex restrictions and axial-label
 divisibility: monomials are exponent tuples of a fixed length, and
 coefficients are ints or Fractions.
+
+Divisibility by a linear form alpha is decided by one substitution
+kernel, ``restrict_monomials``: with j the first nonzero coordinate of
+alpha, it sends t_j to -sum_{k!=j} alpha_k t_k and every other t_i to
+alpha_j t_i, so t^e goes to alpha_j^(|e|-e_j) t^(e with e_j=0) times the
+e_j-th power of that form.  It expands each power once per call, when a
+monomial first needs it, and yields the image terms as plain tuples.
+``restrict_to_hyperplane`` sums them into one polynomial; the GKM
+dimension count asks for the images of all monomials of one degree, one
+call per distinct label.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 
 class Poly:
@@ -119,26 +131,53 @@ class Poly:
         return " + ".join(parts)
 
 
-def restrict_to_hyperplane(poly, alpha):
-    """Image of ``poly`` under a substitution that kills the hyperplane alpha=0.
+def restrict_monomials(nvars, exponents, alpha):
+    """Images of the monomials t^e, e in ``exponents``, under the
+    substitution that kills the hyperplane alpha=0.
 
-    Uses the integral substitution t_j -> -sum_{k!=j} alpha_k t_k,
-    t_i -> alpha_j t_i (j the first nonzero coordinate of alpha), which
-    vanishes exactly on the multiples of the linear form alpha.
+    The substitution is the integral one t_j -> -sum_{k!=j} alpha_k t_k,
+    t_i -> alpha_j t_i (j the first nonzero coordinate of alpha); a
+    polynomial goes to zero exactly when it is a multiple of the linear
+    form alpha.  Yields (i, f, c) for each term c*t^f of the image of
+    t^exponents[i], in the order of ``exponents``; the f of one monomial
+    are distinct.  The powers of the replacement form are expanded once,
+    by degree, as the monomials ask for them.
     """
-    n = poly.nvars
+    if len(alpha) != nvars:
+        raise ValueError("variable count mismatch")
     j = next((i for i, c in enumerate(alpha) if c), -1)
     if j < 0:
         raise ValueError("zero linear form")
-    repl = Poly(n, {tuple(1 if i == k else 0 for i in range(n)): -alpha[k]
-                    for k in range(n) if k != j and alpha[k]})
     aj = alpha[j]
-    out = Poly.zero(n)
-    for e, c in poly.coeffs.items():
-        rest = tuple(v if i != j else 0 for i, v in enumerate(e))
-        term = Poly(n, {rest: c * aj ** (sum(e) - e[j])})
-        out = out + term * repl ** e[j]
-    return out
+    repl = [(k, -a) for k, a in enumerate(alpha) if k != j and a]
+    powers = [[((0,) * nvars, 1)]]  # powers[m]: terms of the form ** m
+    for i, e in enumerate(exponents):
+        m = e[j]
+        scale = aj ** (sum(e) - m)
+        while len(powers) <= m:
+            nxt = {}
+            for f, c in powers[-1]:
+                for k, a in repl:
+                    g = f[:k] + (f[k] + 1,) + f[k + 1:]
+                    nxt[g] = nxt.get(g, 0) + c * a
+            powers.append(list(nxt.items()))
+        rest = e[:j] + (0,) + e[j + 1:]
+        for f, c in powers[m]:
+            yield i, tuple(map(add, rest, f)), scale * c
+
+
+def restrict_to_hyperplane(poly, alpha):
+    """Image of ``poly`` under the substitution of ``restrict_monomials``:
+    zero exactly when ``poly`` is divisible by the linear form alpha.
+    A label with the wrong number of entries raises ValueError."""
+    terms = list(poly.coeffs.items())
+    out = {}
+    for i, f, c in restrict_monomials(poly.nvars, [e for e, _ in terms],
+                                      alpha):
+        out[f] = out.get(f, 0) + terms[i][1] * c
+    p = Poly(poly.nvars)
+    p.coeffs = {f: c for f, c in out.items() if c}
+    return p
 
 
 def monomials_of_degree(nvars, degree):

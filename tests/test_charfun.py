@@ -20,7 +20,7 @@ from torusfan.charfun import (CharacteristicMap, GKMError, build_gkm_graph,
 from torusfan.facering import (FaceRing, RingElement, chain_monomial_basis,
                                graded_dimension, monomial_degree)
 from torusfan.linalg import Span
-from torusfan.polys import Poly
+from torusfan.polys import Poly, restrict_monomials, restrict_to_hyperplane
 from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
                             simplex_boundary, sphere_poset, sphere_product_poset)
 from torusfan.realize import (INADMISSIBLE, HVectorTarget, admissible,
@@ -100,6 +100,23 @@ def divide_by_linear(poly, alpha):
         quot = quot + qterm
         rem = rem - qterm * Poly.linear(alpha)
     return quot
+
+
+def restrict_per_term(poly, alpha):
+    """The per-term formula for the hyperplane restriction: one Poly per
+    term, and t_j's replacement raised to e_j by repeated multiplication.
+    The oracle for the substitution kernel."""
+    n = poly.nvars
+    j = next(i for i, c in enumerate(alpha) if c)
+    repl = Poly(n, {tuple(1 if i == k else 0 for i in range(n)): -alpha[k]
+                    for k in range(n) if k != j and alpha[k]})
+    aj = alpha[j]
+    out = Poly.zero(n)
+    for e, c in poly.coeffs.items():
+        rest = tuple(v if i != j else 0 for i, v in enumerate(e))
+        term = Poly(n, {rest: c * aj ** (sum(e) - e[j])})
+        out = out + term * repl ** e[j]
+    return out
 
 
 def cp2_chi():
@@ -523,6 +540,51 @@ def test_thom_classes_always_divisible():
                            for c in quot.coeffs.values())
 
 
+def test_restriction_refuses_a_label_of_the_wrong_length():
+    poly = Poly.linear((1, 1))  # t1 + t2
+    for alpha in ((1, 1, 5), (0, 1, 1), (1,)):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            restrict_to_hyperplane(poly, alpha)
+
+
+@st.composite
+def _polys_and_labels(draw):
+    """(poly, alpha): 1-5 variables, exponents at most 4, int or Fraction
+    coefficients; alpha has entries in -3..3 and a first nonzero entry
+    of absolute value 2 or 3, so the substitution scales as well as
+    replaces.  Half the time poly is multiplied by alpha."""
+    n = draw(st.integers(1, 5))
+    coeff = st.one_of(st.integers(-9, 9),
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=7))
+    poly = Poly(n, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n), coeff, max_size=8)))
+    lead = draw(st.integers(0, n - 1))
+    alpha = ((0,) * lead + (draw(st.sampled_from((-3, -2, 2, 3))),)
+             + tuple(draw(st.lists(st.integers(-3, 3), min_size=n - lead - 1,
+                                   max_size=n - lead - 1))))
+    if draw(st.booleans()):
+        poly = poly * Poly.linear(alpha)
+    return poly, alpha
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_polys_and_labels())
+def test_substitution_kernel_matches_the_per_term_formula(case):
+    poly, alpha = case
+    image = restrict_to_hyperplane(poly, alpha)
+    assert image == restrict_per_term(poly, alpha)
+    monos = sorted(poly.coeffs)
+    images = [{} for _ in monos]
+    for i, f, c in restrict_monomials(poly.nvars, monos, alpha):
+        assert f not in images[i] and c
+        images[i][f] = c
+    assert images == [restrict_per_term(Poly(poly.nvars, {e: 1}), alpha).coeffs
+                      for e in monos]
+    # a zero image says "divisible by alpha"
+    assert image.is_zero() == (divide_by_linear(poly, alpha) is not None)
+
+
 def test_non_divisible_tuple_detected():
     p, chi = sphere_chi(2)
     g = build_gkm_graph(p, chi)
@@ -570,16 +632,25 @@ def test_gkm_dimension_at_degree_5_on_a_rank_5_realization():
     assert graded_dimension(result.poset, 5) == 227
 
 
-def test_gkm_dimension_restricts_once_per_edge_label(monkeypatch):
+@pytest.mark.parametrize("h", [(1, 1, 1, 1, 1), (1, 0, 2, 2, 0, 1)])
+def test_gkm_dimension_equals_face_ring_dimension_to_twice_the_rank(h):
+    result = realize_with_lambda(list(h))
+    p = result.poset
+    g = build_gkm_graph(p, result.chi)
+    for k in range(2 * p.rank + 1):
+        assert gkm_subalgebra_dimension(g, k) == graded_dimension(p, k)
+
+
+def test_gkm_dimension_substitutes_once_per_edge_label(monkeypatch):
     from torusfan import charfun, polys
-    restrict = polys.restrict_to_hyperplane
+    kernel = charfun.restrict_monomials
     calls = []
 
-    def counted(poly, alpha):
-        calls.append(alpha)
-        return restrict(poly, alpha)
+    def counted(nvars, exponents, alpha):
+        calls.append((alpha, len(exponents)))
+        return kernel(nvars, exponents, alpha)
 
-    monkeypatch.setattr(charfun, "restrict_to_hyperplane", counted)
+    monkeypatch.setattr(charfun, "restrict_monomials", counted)
     result = realize_with_lambda([1, 3, 3, 1])
     p = result.poset
     g = build_gkm_graph(p, result.chi)
@@ -588,7 +659,10 @@ def test_gkm_dimension_restricts_once_per_edge_label(monkeypatch):
     for k in range(4):
         calls.clear()
         assert gkm_subalgebra_dimension(g, k) == graded_dimension(p, k)
-        assert len(calls) == len(labels) * len(polys.monomials_of_degree(3, k))
+        # one call per distinct label, each on every degree-k monomial
+        assert len({alpha for alpha, _ in calls}) == len(calls) == len(labels)
+        assert {size for _, size in calls} == {
+            len(polys.monomials_of_degree(3, k))}
 
 
 # ---------------------------------------------------------------------------
