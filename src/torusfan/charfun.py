@@ -5,16 +5,17 @@ element.  It is unimodular when, for every element x, the vectors on the
 vertices of x extend to a lattice basis (all Smith invariant factors 1).
 A subset of vectors that extend to a basis extends too, and every element
 lies below a maximal one.  So ``check_unimodular`` tests the maximal
-elements and then only the elements below none that passed; every
-failing element is still reached, and its violation names its invariant
-factors.  At an element of rank n the matrix is square, and its factors
-are all 1 exactly when its determinant is +-1, since the determinant is
-their product up to sign; so one exact (Bareiss) determinant decides it,
-and Smith normal form runs only where that fails and on the elements of
-lower rank.  ``find_characteristic_map`` tests only the
-prefix faces of the maximal elements (the atoms of each, in id order, up
-to the vertex being assigned), so the lexicographically first map is the
-one a test at every element gives.
+elements, stops there when all pass, and otherwise tests only the
+elements below none that passed; every failing element is still reached,
+and its violation names its invariant factors.  At an element of rank n
+the matrix is square, and its factors are all 1 exactly when its
+determinant is +-1, since the determinant is their product up to sign;
+so one exact (Bareiss) determinant decides it, and Smith normal form
+runs only where that fails and on the elements of lower rank.
+``find_characteristic_map`` tests only the prefix faces of the maximal
+elements (the atoms of each, in id order, up to the vertex being
+assigned), so the lexicographically first map is the one a test at every
+element gives.
 A prefix's vectors extend to a basis together with c iff gcd(Q c) = 1,
 where Q maps Z^n onto Z^n modulo their span (``quotient_step``); for a
 prefix of n-1 vectors Q is one row, and ``candidate_vectors`` solves
@@ -24,7 +25,16 @@ The 1-skeleton of the dual orbit space is the GKM graph: its vertices are
 the top cells, its edges the rank n-1 elements lying below exactly two
 tops.  At a top cell p the n incident edges are labelled by the dual
 basis of the vertex vectors at p: the edge omitting vertex v carries the
-vector pairing to 1 with the vector of v and to 0 with the others.
+vector pairing to 1 with the vector of v and to 0 with the others
+(Goresky-Kottwitz-MacPherson, Invent. Math. 131, 1998; Guillemin-Zara,
+Duke Math. J. 107, 2001).  ``build_gkm_graph`` inverts the vectors at
+one top per component of the graph and carries the dual basis across
+each ridge with one pairing per vertex; a pairing that is not +-1 is a
+top that fails, and only then does ``check_unimodular`` run, to name the
+violations.  ``gkm_subalgebra_dimension`` writes every label in the
+basis of the first top's vectors; a label that is +-e_j there only
+equates unknowns, which a union-find merges, and the rank over Q is
+taken only of the conditions of the other labels.
 """
 
 from __future__ import annotations
@@ -139,6 +149,9 @@ def check_unimodular(poset, chi):
     # element's vectors do too, so only the rest need a test
     at_maximal = {m: factors(m) for m in poset.maximal_elements()
                   if poset.rank_of(m) >= 2}
+    # every element of rank >= 2 lies below one of them
+    if all(found is None for found in at_maximal.values()):
+        return True, []
     unimodular = set()
     for m, found in at_maximal.items():
         if found is None:
@@ -336,43 +349,104 @@ def _is_integer_multiple(diff, alpha):
     return all(d == c * a for d, a in zip(diff, alpha))
 
 
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _dual_bases(poset, chi, above, omitted):
+    """{top p: {vertex v of p: lambda_p(v)}}, the dual basis of the vertex
+    vectors at every top, or None when the vectors at some top are missing
+    or do not form a lattice basis.
+
+    One top per component of the GKM graph is inverted; the bases are
+    carried from there across each ridge e = p - u = q - w.  With
+    c = <lambda_p(u), chi(w)>, det chi(q) = c det chi(p) up to sign, so
+    q passes exactly when c = +-1, and then lambda_q(w) = c lambda_p(u) and
+    lambda_q(v) = lambda_p(v) - <lambda_p(v), chi(w)> lambda_q(w) for v in
+    e.  The dual basis is unique, so the path that reaches q does not
+    matter.
+    """
+    if chi.n != poset.rank:
+        return None
+    vectors = chi.vectors
+    dual = {}
+    for start in poset.tops():
+        if start in dual:
+            continue
+        verts = sorted(poset.atoms(start))
+        try:
+            inverse = linalg.invert_unimodular([vectors[v] for v in verts])
+        except (KeyError, ValueError):
+            return None
+        dual[start] = {v: tuple(row[j] for row in inverse)
+                       for j, v in enumerate(verts)}
+        queue = [start]
+        for p in queue:
+            at_p = dual[p]
+            for e, u in omitted[p].items():
+                ends = above[e]
+                q = ends[1] if ends[0] == p else ends[0]
+                if q in dual:
+                    continue
+                w = omitted[q][e]
+                chi_w = vectors.get(w)
+                if chi_w is None:
+                    return None
+                lam_u = at_p[u]
+                c = _dot(lam_u, chi_w)
+                if c == -1:
+                    lam_w = tuple(-a for a in lam_u)
+                elif c == 1:
+                    lam_w = lam_u
+                else:
+                    return None
+                at_q = {w: lam_w}
+                for v, lam_v in at_p.items():
+                    if v != u:
+                        f = _dot(lam_v, chi_w)
+                        at_q[v] = tuple(a - f * b for a, b in
+                                        zip(lam_v, lam_w)) if f else lam_v
+                dual[q] = at_q
+                queue.append(q)
+    return dual
+
+
 def build_gkm_graph(poset, chi):
     """Label the 1-skeleton with the dual bases of the vertex vectors.
 
-    Requires a pure pseudomanifold poset and a unimodular map.  The three
-    axial-function axioms are verified: opposite orientations agree up to
-    sign, the labels at each vertex form a lattice basis, and matched
-    labels across an edge are congruent modulo the edge label.
+    Requires a pure pseudomanifold poset and a unimodular map.  The edges
+    at a top p are its covers (the ridges below it), and the one omitting
+    vertex v is labelled lambda_p(v) from ``_dual_bases``.  In a pure
+    poset every element lies below a top, so the map is unimodular exactly
+    when the vectors at every top form a lattice basis, that is, when the
+    dual bases exist; ``check_unimodular`` runs only when they do not, to
+    name the violations.  Two axial-function axioms are verified: opposite
+    orientations agree up to sign, and matched labels across an edge are
+    congruent modulo the edge label.  The third, that the labels at each
+    top form a lattice basis, holds by construction.
     """
-    n = poset.rank
     pm = pseudomanifold(poset)
     if not pm.ok:
         raise GKMError("poset is not a pure pseudomanifold: "
                        + "; ".join(pm.witnesses))
-    ok, violations = check_unimodular(poset, chi)
-    if not ok:
+    above = tops_above_ridges(poset)
+    # per top: {ridge: the vertex of the top that the ridge omits}
+    omitted = {}
+    for p in poset.tops():
+        atoms = poset.atoms(p)
+        at_p = omitted[p] = {}
+        for e in poset.covers(p):
+            (at_p[e],) = atoms - poset.atoms(e)
+    dual = _dual_bases(poset, chi, above, omitted)
+    if dual is None:
+        _, violations = check_unimodular(poset, chi)
         raise GKMError("characteristic map is not unimodular: "
                        + "; ".join(violations))
 
-    # per top cell: the label of each incident edge, keyed by omitted vertex
-    labels = {}
-    edge_of = {}
-    for p in poset.tops():
-        verts = sorted(poset.atoms(p))
-        inverse = linalg.invert_unimodular([list(chi.vec(v)) for v in verts])
-        lbl = {}
-        eo = {}
-        for j, v in enumerate(verts):
-            e = poset.face(p, poset.atoms(p) - {v})
-            lbl[e] = tuple(inverse[i][j] for i in range(n))
-            eo[v] = e
-        labels[p] = lbl
-        edge_of[p] = eo
-
     problems = []
     edges = []
-    for e, (p, q) in tops_above_ridges(poset).items():
-        ap, aq = labels[p][e], labels[q][e]
+    for e, (p, q) in above.items():
+        ap, aq = dual[p][omitted[p][e]], dual[q][omitted[q][e]]
         if ap == aq:
             sign = 1
         elif all(a == -b for a, b in zip(ap, aq)):
@@ -383,8 +457,7 @@ def build_gkm_graph(poset, chi):
             continue
         # congruence along the edge, matching edges by shared omitted vertex
         for v in sorted(poset.atoms(e)):
-            fp = labels[p][edge_of[p][v]]
-            fq = labels[q][edge_of[q][v]]
+            fp, fq = dual[p][v], dual[q][v]
             diff = tuple(a - b for a, b in zip(fp, fq))
             if any(diff) and not _is_integer_multiple(diff, ap):
                 problems.append(
@@ -453,37 +526,86 @@ def gkm_subalgebra_dimension(graph, k):
     takes the multiples of the linear form alpha onto those of its image,
     degree by degree, so the dimension does not change.
 
-    The conditions of one label are read off one ``restrict_monomials``
-    call on all degree-k monomials: a tuple difference with coefficients
-    a_m is divisible by alpha exactly when, for every target monomial t,
-    the sum of a_m times the coefficient of t in the image of m is zero.
-    Edges that share a label share these rows."""
+    The unknowns are the coefficients x_{p,m} of the degree-k monomials m
+    at the tops p.  A label that is +-e_j in that basis (a unit label)
+    only says x_{p,m} = x_{q,m} for the m with m_j = 0, so the classes of
+    the unknowns x_{.,m} are the components of the unit-label edges with
+    m_j = 0, one union-find per zero set of m.  The conditions of every
+    other label are read off one ``restrict_monomials`` call on all
+    degree-k monomials: a tuple difference with coefficients a_m is
+    divisible by alpha exactly when, for every target monomial t, the sum
+    of a_m times the coefficient of t in the image of m is zero.  Edges
+    that share a label share these rows, and each is written on the
+    classes.  The dimension is the number of classes minus the rank of
+    those rows over Q."""
     if k < 0:
         return 0
     n = graph.n
     monos = monomials_of_degree(n, k)
-    offset = {x: i * len(monos) for i, x in enumerate(graph.vertices)}
-    span = linalg.Span(0)
-    conditions = {}  # label -> [[(i, c), ...] per target monomial]
+    count = len(graph.vertices)
+    position = {x: i for i, x in enumerate(graph.vertices)}
     basis = [graph.chi.vec(v)
              for v in sorted(graph.poset.atoms(graph.vertices[0]))]
+    units = [[] for _ in range(n)]  # j -> the edges labelled +-e_j
+    others = {}  # any other label -> its edges
     for e in graph.edges:
-        p, q = (offset[x] for x in e.ends)
-        alpha = tuple(sum(a * b for a, b in zip(e.labels[0], u))
-                      for u in basis)
-        rows = conditions.get(alpha)
-        if rows is None:
-            by_target = {}
-            for i, t, c in restrict_monomials(n, monos, alpha):
-                by_target.setdefault(t, []).append((i, c))
-            rows = conditions[alpha] = [by_target[t]
-                                        for t in sorted(by_target)]
-        for row in rows:
-            out = {}
-            for i, c in row:
-                out[p + i], out[q + i] = c, -c
-            span.add(out)
-    return len(offset) * len(monos) - span.rank
+        ends = tuple(position[x] for x in e.ends)
+        alpha = tuple(_dot(e.labels[0], u) for u in basis)
+        # alpha is primitive, so a lone nonzero entry is +-1
+        support = [j for j, a in enumerate(alpha) if a]
+        if len(support) == 1:
+            units[support[0]].append(ends)
+        else:
+            others.setdefault(alpha, []).append(ends)
+
+    by_zeros = {}  # zero set of m -> (class root of each top, class count)
+    roots = []  # per monomial: the class root of each top
+    classes = 0
+    for m in monos:
+        zeros = tuple(j for j, a in enumerate(m) if not a)
+        found = by_zeros.get(zeros)
+        if found is None:
+            root = _components(count, [ends for j in zeros
+                                       for ends in units[j]])
+            found = by_zeros[zeros] = root, len(set(root))
+        roots.append(found[0])
+        classes += found[1]
+
+    span = linalg.Span(0)
+    for alpha, ends in others.items():
+        by_target = {}
+        for i, t, c in restrict_monomials(n, monos, alpha):
+            by_target.setdefault(t, []).append((i, c))
+        rows = [by_target[t] for t in sorted(by_target)]
+        for p, q in ends:
+            for row in rows:
+                out = {}
+                for i, c in row:
+                    root = roots[i]
+                    if root[p] != root[q]:
+                        out[i * count + root[p]] = c
+                        out[i * count + root[q]] = -c
+                if out:
+                    span.add(out)
+    return classes - span.rank
+
+
+def _components(count, pairs):
+    """The least member of the component of each of 0..count-1 in the
+    graph with the given edges, by union-find."""
+    parent = list(range(count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(count)]
 
 
 def face_ring_to_gkm(graph, element):

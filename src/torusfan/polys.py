@@ -12,7 +12,7 @@ e_j-th power of that form.  It expands each power once per call, when a
 monomial first needs it, and yields the image terms as plain tuples.
 ``restrict_to_hyperplane`` sums them into one polynomial; the GKM
 dimension count asks for the images of all monomials of one degree, one
-call per distinct label.
+call per distinct label that is not a unit vector in its basis.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gkm_oracle
 import search_oracle
 
 from torusfan import linalg
@@ -19,13 +20,16 @@ from torusfan.charfun import (CharacteristicMap, GKMError, build_gkm_graph,
                               gkm_subalgebra_dimension, thom_class_restriction)
 from torusfan.facering import (FaceRing, RingElement, chain_monomial_basis,
                                graded_dimension, monomial_degree)
+from torusfan.homology import pseudomanifold
 from torusfan.linalg import Span
 from torusfan.polys import Poly, restrict_monomials, restrict_to_hyperplane
 from torusfan.poset import (Cell, SimplicialPoset, barycentric_subdivision,
                             simplex_boundary, sphere_poset, sphere_product_poset)
 from torusfan.realize import (INADMISSIBLE, HVectorTarget, admissible,
                               realize_with_lambda)
-from conftest import builder_family, random_surgery
+from conftest import (SMALL_REALIZED_TARGETS, builder_family, random_surgery,
+                      realized_family)
+from test_linalg import _unimodular
 
 
 def _is_connected(graph):
@@ -641,28 +645,217 @@ def test_gkm_dimension_equals_face_ring_dimension_to_twice_the_rank(h):
         assert gkm_subalgebra_dimension(g, k) == graded_dimension(p, k)
 
 
-def test_gkm_dimension_substitutes_once_per_edge_label(monkeypatch):
-    from torusfan import charfun, polys
-    kernel = charfun.restrict_monomials
+def _calls_to(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
     calls = []
+    inner = getattr(module, name)
 
-    def counted(nvars, exponents, alpha):
-        calls.append((alpha, len(exponents)))
-        return kernel(nvars, exponents, alpha)
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
 
-    monkeypatch.setattr(charfun, "restrict_monomials", counted)
-    result = realize_with_lambda([1, 3, 3, 1])
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _labels_in_first_basis(p, chi, g):
+    """Each edge's label written in the basis of the vertex vectors of the
+    first top, as ``gkm_subalgebra_dimension`` writes it."""
+    basis = [chi.vec(v) for v in sorted(p.atoms(g.vertices[0]))]
+    return [tuple(sum(a * b for a, b in zip(e.labels[0], u)) for u in basis)
+            for e in g.edges]
+
+
+def _is_unit(alpha):
+    return sorted(map(abs, alpha)) == [0] * (len(alpha) - 1) + [1]
+
+
+@pytest.mark.parametrize("h, edges, non_unit", [((1, 1, 1, 1, 1), 10, 6),
+                                                ((1, 3, 3, 1), 12, 0)],
+                         ids=["11111", "1331"])
+def test_gkm_dimension_substitutes_once_per_non_unit_label(monkeypatch, h,
+                                                           edges, non_unit):
+    from torusfan import charfun, polys
+    calls = _calls_to(monkeypatch, charfun, "restrict_monomials")
+    result = realize_with_lambda(list(h))
     p = result.poset
     g = build_gkm_graph(p, result.chi)
-    labels = {e.labels[0] for e in g.edges}
-    assert len(labels) < len(g.edges)
-    for k in range(4):
+    alphas = _labels_in_first_basis(p, result.chi, g)
+    others = {a for a in alphas if not _is_unit(a)}
+    assert len(alphas) == edges and len(others) == non_unit
+    for k in range(2 * p.rank + 1):
         calls.clear()
         assert gkm_subalgebra_dimension(g, k) == graded_dimension(p, k)
-        # one call per distinct label, each on every degree-k monomial
-        assert len({alpha for alpha, _ in calls}) == len(calls) == len(labels)
-        assert {size for _, size in calls} == {
-            len(polys.monomials_of_degree(3, k))}
+        # one call per distinct label that is not +-e_j in the first top's
+        # basis, each on every degree-k monomial; none for a unit label
+        assert sorted(alpha for _, _, alpha in calls) == sorted(others)
+        assert all(monos == polys.monomials_of_degree(p.rank, k)
+                   for _, monos, _ in calls)
+
+
+def _two_triangles():
+    """Two boundaries of triangles sharing only 0-hat, with the standard
+    map on each: a GKM graph with two components."""
+    cells = [Cell(0, 0, ())] + [Cell(v, 1, (0,)) for v in range(1, 7)]
+    for base in (1, 4):
+        a, b, c = base, base + 1, base + 2
+        for cover in ((a, b), (a, c), (b, c)):
+            cells.append(Cell(len(cells), 2, cover))
+    vectors = {}
+    for base in (1, 4):
+        vectors.update({base: (1, 0), base + 1: (0, 1), base + 2: (-1, -1)})
+    return SimplicialPoset(2, cells), CharacteristicMap(2, vectors)
+
+
+def _transformed(chi, a):
+    """The map v -> a chi(v) for a unimodular matrix a."""
+    return CharacteristicMap(chi.n, {
+        v: tuple(sum(x * y for x, y in zip(row, vec)) for row in a)
+        for v, vec in chi.vectors.items()})
+
+
+# the realized family of rank <= 4, the same maps under a random unimodular
+# change of lattice basis (labels that are not unit vectors), and a GKM
+# graph with two components
+GKM_CASES = ([(h, False) for h in SMALL_REALIZED_TARGETS]
+             + [(h, True) for h in SMALL_REALIZED_TARGETS] + [(None, False)])
+
+
+def _gkm_case(h, transform):
+    """(poset, map) of one of GKM_CASES."""
+    if h is None:
+        return _two_triangles()
+    p, chi = realized_family([h])[h]
+    if transform:
+        chi = _transformed(chi, _unimodular(random.Random(repr(h)), p.rank))
+    return p, chi
+
+
+def _gkm_case_id(case):
+    h, transform = case
+    if h is None:
+        return "two-triangles"
+    return "".join(map(str, h)) + ("-transformed" if transform else "")
+
+
+def _assert_labels_invert_at_their_tops(p, chi, g):
+    """At every top t, the edge omitting the j-th vertex carries the j-th
+    column of the inverse of the vertex vectors at t."""
+    for t in g.vertices:
+        verts = sorted(p.atoms(t))
+        inverse = linalg.invert_unimodular([chi.vec(v) for v in verts])
+        for j, v in enumerate(verts):
+            e = p.face(t, p.atoms(t) - {v})
+            assert g.label(t, e) == tuple(row[j] for row in inverse), (t, v)
+        assert len(_edges_at(g, t)) == len(verts)
+
+
+def test_gkm_cases_have_non_unit_labels_and_two_components():
+    cases = [(p, chi, build_gkm_graph(p, chi))
+             for p, chi in (_gkm_case(*case) for case in GKM_CASES)]
+    assert any(not _is_unit(a) for p, chi, g in cases
+               for a in _labels_in_first_basis(p, chi, g))
+    assert any(not _is_unit(label) for _, _, g in cases
+               for e in g.edges for label in e.labels)
+    g = build_gkm_graph(*_two_triangles())
+    assert len(g.vertices) == 6 and not _is_connected(g)
+
+
+@pytest.mark.parametrize("case", GKM_CASES, ids=_gkm_case_id)
+def test_gkm_dimension_matches_the_one_span_count(case):
+    p, chi = _gkm_case(*case)
+    g = build_gkm_graph(p, chi)
+    _assert_labels_invert_at_their_tops(p, chi, g)
+    for k in range(2 * p.rank + 1):
+        assert (gkm_subalgebra_dimension(g, k)
+                == gkm_oracle.gkm_subalgebra_dimension(g, k)), k
+
+
+def test_two_triangles_count_each_component():
+    g = build_gkm_graph(*_two_triangles())
+    cp2 = build_gkm_graph(*cp2_chi())
+    for k in range(5):
+        assert gkm_subalgebra_dimension(g, k) == 2 * gkm_subalgebra_dimension(
+            cp2, k)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from(["join", "connected_sum", "stellar", "barycentric"]))
+def test_gkm_labels_of_surgeries_invert_at_their_tops(seed, op):
+    p = random_surgery(random.Random(seed), op)
+    chi = find_characteristic_map(p, 1)
+    if chi is None or not pseudomanifold(p).ok:
+        return
+    g = build_gkm_graph(p, chi)
+    _assert_labels_invert_at_their_tops(p, chi, g)
+    for k in range(3):
+        assert (gkm_subalgebra_dimension(g, k)
+                == gkm_oracle.gkm_subalgebra_dimension(g, k)), k
+
+
+@pytest.mark.parametrize("case, components", [
+    (((1, 2, 2, 1), False), 1), (((1, 0, 2, 0, 1), True), 1),
+    ((None, False), 2)], ids=["1221", "10201-transformed", "two-triangles"])
+def test_gkm_graph_inverts_once_per_component(monkeypatch, case, components):
+    from torusfan import charfun
+    p, chi = _gkm_case(*case)
+    inversions = _calls_to(monkeypatch, linalg, "invert_unimodular")
+    checks = _calls_to(monkeypatch, charfun, "check_unimodular")
+    build_gkm_graph(p, chi)
+    assert len(inversions) == components and checks == []
+
+
+def _break_vertex(chi, v, vec):
+    return CharacteristicMap(chi.n, {**chi.vectors, v: vec})
+
+
+def test_gkm_failures_are_worded_by_check_unimodular(monkeypatch):
+    from torusfan import charfun
+    checks = _calls_to(monkeypatch, charfun, "check_unimodular")
+    result = realize_with_lambda([1, 3, 3, 1])
+    p, chi = result.poset, result.chi
+    first = sorted(p.atoms(p.tops()[0]))
+    last = sorted(p.atoms(p.tops()[-1]))[-1]
+    assert last not in first
+    missing = max(p.vertices())
+    bad = {
+        # the first top fails its inversion, a later one its crossing
+        "first top": _break_vertex(chi, first[-1], (0, 1, 1)),
+        "crossing": _break_vertex(chi, last, (1, 0, 0)),
+        "missing": CharacteristicMap(3, {v: x for v, x in chi.vectors.items()
+                                         if v != missing}),
+        "longer": CharacteristicMap(4, {v: x + (1,)
+                                        for v, x in chi.vectors.items()}),
+        "shorter": CharacteristicMap(2, dict.fromkeys(chi.vectors, (1, 0))),
+    }
+    for name, wrong in bad.items():
+        ok, violations = check_unimodular(p, wrong)
+        assert not ok, name
+        checks.clear()
+        with pytest.raises(GKMError) as err:
+            build_gkm_graph(p, wrong)
+        assert str(err.value) == ("characteristic map is not unimodular: "
+                                  + "; ".join(violations)), name
+        assert len(checks) == 1, name
+
+
+def test_gkm_graph_fails_exactly_when_check_unimodular_does():
+    rng = random.Random(11)
+    failing = 0
+    for h, (p, _) in realized_family().items():
+        for _ in range(8):
+            chi = _random_primitive_map(rng, p)
+            ok, violations = check_unimodular(p, chi)
+            if ok:
+                build_gkm_graph(p, chi)
+                continue
+            failing += 1
+            with pytest.raises(GKMError) as err:
+                build_gkm_graph(p, chi)
+            assert str(err.value) == ("characteristic map is not unimodular: "
+                                      + "; ".join(violations)), (h, chi)
+    assert failing >= 40
 
 
 # ---------------------------------------------------------------------------

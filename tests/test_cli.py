@@ -195,6 +195,45 @@ def test_gkm_report(capsys, sphere2_file, chi2_file):
     assert all(row["equal"] for row in report["dimensions"])
 
 
+def _gkm_failure(violation):
+    return ('{\n  "config": {\n    "seed": 0\n  },\n  "ok": false,\n'
+            '  "violations": [\n    "characteristic map is not unimodular: '
+            + violation + '"\n  ]\n}\n')
+
+
+# realized (1,3,3,1): tops 13, 14 on vertices 1, 2, 4 (the first), 27, 28
+# on 1, 2, 22 (reached across a ridge), and vertex 15 in tops 20, 21
+GKM_FAILURES = {
+    "first top": ({"4": [0, 1, 1]}, _gkm_failure(
+        "Lq|Rp: vertex vectors have invariant factors [1, 1, 4]; "
+        "Lq|Rq: vertex vectors have invariant factors [1, 1, 4]")),
+    "crossed top": ({"22": [1, 0, 0]}, _gkm_failure(
+        "Lq|Rp: vertex vectors have invariant factors [1, 1, 3]; "
+        "Lq|Rq: vertex vectors have invariant factors [1, 1, 3]")),
+    "missing vertex": ({"15": None}, _gkm_failure(
+        "missing assignment on vertices [15]")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GKM_FAILURES))
+def test_gkm_report_failure_bytes(capsys, tmp_path, case):
+    change, expected = GKM_FAILURES[case]
+    pout, lout = tmp_path / "p.json", tmp_path / "chi.json"
+    assert cli.main(["realize", "--target", "1,3,3,1", "--poset-out",
+                     str(pout), "--lambda-out", str(lout)]) == 0
+    capsys.readouterr()
+    chi = json.loads(lout.read_text())
+    for v, vec in change.items():
+        if vec is None:
+            del chi[v]
+        else:
+            chi[v] = vec
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(chi))
+    assert cli.main(["gkm-report", str(pout), str(bad)]) == 1
+    assert capsys.readouterr().out == expected
+
+
 def test_betti_report(capsys, sphere2_file, chi2_file):
     code, report = run(capsys, "betti", sphere2_file, chi2_file)
     assert code == 0
